@@ -20,26 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Dict, Optional, Tuple
 
-from .combinatorics import DomainError, binom
+from . import _kernel
+from .combinatorics import DomainError
 from .model import MomentMatrix
 from .transforms import _check_range, complementary_moment
 
 LOWER = "lower"
 UPPER = "upper"
-
-FAMILIES = (
-    "bonferroni",
-    "frechet",
-    "gumbel",
-    "frechet_type",
-    "gumbel_type",
-    "chung",
-    "galambos_xu",
-    "chen_seneta",
-    "madi_nagy_prekopa",
-)
 
 
 @dataclass(frozen=True)
@@ -58,6 +48,17 @@ class BoundValue:
         return self.value is not None
 
 
+def _ratio(num: int, denom: int, direction: str, family: str,
+           params: Dict[str, int]) -> BoundValue:
+    """The bound num / denom, undefined when denom vanishes."""
+    if denom == 0:
+        return BoundValue(
+            None, direction, family, params,
+            note="bound undefined for these parameters (zero denominator)",
+        )
+    return BoundValue(Fraction(num, denom), direction, family, params)
+
+
 def bonferroni_pair(
     mm: MomentMatrix, u: int, v: int, k: int
 ) -> Tuple[BoundValue, BoundValue]:
@@ -70,30 +71,29 @@ def bonferroni_pair(
     if k < 0:
         raise DomainError("k must be nonnegative")
 
-    def truncated(cutoff: int) -> Fraction:
-        total = Fraction(0)
-        for t in range(u + v, min(cutoff, mm.m + mm.n) + 1):
-            sign = (-1) ** (t - (u + v))
-            for i in range(max(u, t - mm.n), min(mm.m, t - v) + 1):
-                j = t - i
-                total += (
-                    sign * binom(i - 1, u - 1) * binom(j - 1, v - 1) * mm.s[i][j]
-                )
-        return total
+    def compute():
+        nums, den = _kernel.exact(mm, mm.s)
+        return _kernel.antidiagonal_prefix(
+            nums, _kernel.tails_map(mm.m)[u], _kernel.tails_map(mm.n)[v]
+        ), den
 
+    prefix, den = _kernel.memo(mm, ("bonferroni", u, v), compute)
+    last = mm.m + mm.n
     params = {"u": u, "v": v, "k": k}
-    lower = BoundValue(truncated(u + v + 2 * k + 1), LOWER, "bonferroni", params)
-    upper = BoundValue(truncated(u + v + 2 * k), UPPER, "bonferroni", params)
-    return lower, upper
+    lower = Fraction(prefix[min(u + v + 2 * k + 1, last)], den)
+    upper = Fraction(prefix[min(u + v + 2 * k, last)], den)
+    return (BoundValue(lower, LOWER, "bonferroni", params),
+            BoundValue(upper, UPPER, "bonferroni", params))
 
 
 def frechet_lower(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     """Product-form lower bound on P(S>=1, T>=1)."""
     _check_range("k", k, 1, mm.m)
     _check_range("l", l, 1, mm.n)
-    denom = binom(mm.m, k) * binom(mm.n, l)
-    value = (denom - complementary_moment(mm, k, l)) / denom
-    return BoundValue(value, LOWER, "frechet", {"k": k, "l": l})
+    sbar = complementary_moment(mm, k, l)
+    denom = comb(mm.m, k) * comb(mm.n, l) * sbar.denominator
+    return _ratio(denom - sbar.numerator, denom, LOWER, "frechet",
+                  {"k": k, "l": l})
 
 
 def gumbel_upper(mm: MomentMatrix, k: int, l: int) -> BoundValue:
@@ -101,9 +101,10 @@ def gumbel_upper(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     s[1][1], the first-order truncation."""
     _check_range("k", k, 1, mm.m)
     _check_range("l", l, 1, mm.n)
-    num = binom(mm.m, k) * binom(mm.n, l) - complementary_moment(mm, k, l)
-    denom = binom(mm.m - 1, k - 1) * binom(mm.n - 1, l - 1)
-    return BoundValue(num / denom, UPPER, "gumbel", {"k": k, "l": l})
+    sbar = complementary_moment(mm, k, l)
+    num = comb(mm.m, k) * comb(mm.n, l) * sbar.denominator - sbar.numerator
+    denom = comb(mm.m - 1, k - 1) * comb(mm.n - 1, l - 1) * sbar.denominator
+    return _ratio(num, denom, UPPER, "gumbel", {"k": k, "l": l})
 
 
 def frechet_gumbel_type(
@@ -122,53 +123,35 @@ def frechet_gumbel_type(
     _check_range("k", k, 1, mm.m)
     _check_range("l", l, 1, mm.n)
     sbar = complementary_moment(mm, k, l)
+    num, den = sbar.numerator, sbar.denominator
     params = {"s": s, "t": t, "k": k, "l": l}
-
-    lo_denom = binom(mm.m - s + 1, k) * binom(mm.n - t + 1, l)
-    if lo_denom == 0:
-        lower = BoundValue(
-            None, LOWER, "frechet_type", params,
-            note="bound undefined for these parameters (zero denominator)",
-        )
-    else:
-        lower = BoundValue(1 - sbar / lo_denom, LOWER, "frechet_type", params)
-
-    up_denom = (binom(mm.m, k) - binom(mm.m - s, k)) * (
-        binom(mm.n, l) - binom(mm.n - t, l)
+    lo_denom = comb(mm.m - s + 1, k) * comb(mm.n - t + 1, l) * den
+    up_denom = (comb(mm.m, k) - comb(mm.m - s, k)) * (
+        comb(mm.n, l) - comb(mm.n - t, l)
+    ) * den
+    lower = _ratio(lo_denom - num, lo_denom, LOWER, "frechet_type", params)
+    upper = _ratio(
+        comb(mm.m, k) * comb(mm.n, l) * den - num, up_denom,
+        UPPER, "gumbel_type", params,
     )
-    if up_denom == 0:
-        upper = BoundValue(
-            None, UPPER, "gumbel_type", params,
-            note="bound undefined for these parameters (zero denominator)",
-        )
-    else:
-        num = binom(mm.m, k) * binom(mm.n, l) - sbar
-        upper = BoundValue(num / up_denom, UPPER, "gumbel_type", params)
     return lower, upper
 
 
 def chung_bound(mm: MomentMatrix, s: int, t: int, k: int, l: int) -> BoundValue:
     """Alternating ratio bound on P(S>=s, T>=t), nonincreasing in k and l
-    and equal to the exact tail at (k, l) = (m, n)."""
+    and equal to the exact tail at (k, l) = (m, n).  Its numerators for
+    every (k, l) are alpha . s . beta^T, computed once per target (s, t)."""
     if not (1 <= s <= k <= mm.m):
         raise DomainError("need 1 <= s <= k <= m")
     if not (1 <= t <= l <= mm.n):
         raise DomainError("need 1 <= t <= l <= n")
-    num = Fraction(0)
-    for i in range(s, k + 1):
-        for j in range(t, l + 1):
-            num += (
-                (-1) ** (i + j - s - t)
-                * binom(i - 1, i - s)
-                * binom(mm.m - i, k - i)
-                * binom(j - 1, j - t)
-                * binom(mm.n - j, l - j)
-                * mm.s[i][j]
-            )
-    value = num / (binom(mm.m - s, k - s) * binom(mm.n - t, l - t))
-    return BoundValue(
-        value, UPPER, "chung", {"s": s, "t": t, "k": k, "l": l}
+    num, den = _kernel.product(
+        mm, mm.s, ("chung", s, t),
+        _kernel.chung_map(mm.m, s), _kernel.chung_map(mm.n, t),
     )
+    denom = comb(mm.m - s, k - s) * comb(mm.n - t, l - t) * den
+    return _ratio(num[k][l], denom, UPPER, "chung",
+                  {"s": s, "t": t, "k": k, "l": l})
 
 
 _COMPARISON_FAMILY = {

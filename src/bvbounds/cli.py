@@ -43,11 +43,18 @@ def parse_rational(text: str, where: str) -> Fraction:
         raise InputError(f"{where}: cannot parse rational {text!r}: {exc}")
 
 
+def _dimension(doc: dict, key: str, path: str) -> int:
+    value = doc[key]
+    if type(value) is not int or value < 1:
+        raise InputError(f"{path}: {key!r} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _grid_from_json(doc: dict, key: str, path: str) -> Tuple[int, int, list]:
     for field in ("m", "n", key):
         if field not in doc:
             raise InputError(f"{path}: missing key {field!r}")
-    m, n = doc["m"], doc["n"]
+    m, n = _dimension(doc, "m", path), _dimension(doc, "n", path)
     rows = doc[key]
     if not isinstance(rows, list) or len(rows) != m + 1:
         raise InputError(f"{path}: {key!r} must have {m + 1} rows")
@@ -60,30 +67,6 @@ def _grid_from_json(doc: dict, key: str, path: str) -> Tuple[int, int, list]:
              for v, x in enumerate(row)]
         )
     return m, n, grid
-
-
-def load_pmf_json(path: str) -> JointPMF:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {exc}")
-    m, n, grid = _grid_from_json(doc, "p", path)
-    try:
-        return JointPMF(m, n, grid)
-    except DomainError as exc:
-        raise InputError(f"{path}: {exc}")
-
-
-def load_moments_json(path: str) -> MomentMatrix:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {exc}")
-    m, n, grid = _grid_from_json(doc, "s", path)
-    try:
-        return MomentMatrix(m, n, grid)
-    except DomainError as exc:
-        raise InputError(f"{path}: {exc}")
 
 
 def load_events_csv(path: str) -> EventSystem:
@@ -127,17 +110,23 @@ def load_events_csv(path: str) -> EventSystem:
 
 
 def load_instance(path: str) -> Union[JointPMF, EventSystem, MomentMatrix]:
-    """pmf JSON, moment JSON, or event CSV, decided by extension/keys."""
+    """pmf JSON, moment JSON, or event CSV, decided by extension/keys; the
+    file is read and parsed once."""
     if path.endswith(".csv"):
         return load_events_csv(path)
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}")
-    if "p" in doc:
-        return load_pmf_json(path)
-    if "s" in doc:
-        return load_moments_json(path)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
+    for key, kind in (("p", JointPMF), ("s", MomentMatrix)):
+        if key in doc:
+            m, n, grid = _grid_from_json(doc, key, path)
+            try:
+                return kind(m, n, grid)
+            except DomainError as exc:
+                raise InputError(f"{path}: {exc}")
     raise InputError(f"{path}: JSON must contain a 'p' (pmf) or 's' (moments) grid")
 
 
@@ -418,6 +407,9 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
+    for flag in ("mmax", "nmax"):
+        if getattr(args, flag) < 1:
+            raise InputError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     rng = random.Random(args.seed)
     specs = []
     for i in range(args.trials):

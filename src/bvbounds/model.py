@@ -9,7 +9,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence, Tuple
 
-from .combinatorics import DomainError, binom
+from . import _kernel
+from .combinatorics import DomainError
 
 Grid = Tuple[Tuple[Fraction, ...], ...]
 
@@ -89,19 +90,11 @@ class MomentMatrix:
 
 
 def moments_from_pmf(pmf: JointPMF) -> MomentMatrix:
-    """Full grid of binomial moments of (S, T), computed exactly."""
-    s = [
-        [
-            sum(
-                binom(u, i) * binom(v, j) * pmf.p[u][v]
-                for u in range(i, pmf.m + 1)
-                for v in range(j, pmf.n + 1)
-            )
-            for j in range(pmf.n + 1)
-        ]
-        for i in range(pmf.m + 1)
-    ]
-    return MomentMatrix(pmf.m, pmf.n, s)
+    """Full grid of binomial moments of (S, T), computed exactly:
+    s[i][j] = sum_{u,v} C(u,i) C(v,j) p[u][v]."""
+    return MomentMatrix(
+        pmf.m, pmf.n, _kernel.mapped(pmf, pmf.p, _kernel.moments_map)
+    )
 
 
 def bonferroni_sums(es: EventSystem, kmax: int, lmax: int) -> MomentMatrix:

@@ -9,15 +9,24 @@ alternating double sum, the upper-orthant tails by the inversion pair
 
 valid for u, v >= 1.  Boundary indices (u = 0 or v = 0) reduce to the
 univariate versions on the marginals, since P(S>=0, T>=v) = P(T>=v).
+
+Each of these maps, and the complementary moments, is L . s . R^T with
+triangular binomial matrices L and R.  The private `_kernel` module
+evaluates them once per grid on integers: the grid is held as numerators
+over one common denominator, and Fractions are built only for the values
+returned.  The brute-force oracle never uses that kernel, so that it checks
+these results by independent routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Tuple
 
-from .combinatorics import DomainError, Rational, binom
+from . import _kernel
+from .combinatorics import DomainError, Rational
 from .model import Grid, JointPMF, MomentMatrix, _freeze_grid
 
 
@@ -46,13 +55,7 @@ def pmf_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
     """P(S=u, T=v) recovered from the moment grid."""
     _check_range("u", u, 0, mm.m)
     _check_range("v", v, 0, mm.n)
-    total = Fraction(0)
-    for i in range(u, mm.m + 1):
-        for j in range(v, mm.n + 1):
-            total += (
-                (-1) ** (i + j - u - v) * binom(i, u) * binom(j, v) * mm.s[i][j]
-            )
-    return total
+    return _kernel.mapped(mm, mm.s, _kernel.pmf_map)[u][v]
 
 
 def tails_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
@@ -60,31 +63,13 @@ def tails_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
 
     u = 0 or v = 0 reduce to the univariate marginal inversion; the
     bivariate coefficient C(i-1, u-1) is only meaningful for u >= 1.
+    P(S>=0, T>=0) is 1 whatever s[0][0] holds.
     """
     _check_range("u", u, 0, mm.m)
     _check_range("v", v, 0, mm.n)
     if u == 0 and v == 0:
         return Fraction(1)
-    if u == 0:
-        return Fraction(sum(
-            (-1) ** (j - v) * binom(j - 1, v - 1) * mm.s[0][j]
-            for j in range(v, mm.n + 1)
-        ))
-    if v == 0:
-        return Fraction(sum(
-            (-1) ** (i - u) * binom(i - 1, u - 1) * mm.s[i][0]
-            for i in range(u, mm.m + 1)
-        ))
-    total = Fraction(0)
-    for i in range(u, mm.m + 1):
-        for j in range(v, mm.n + 1):
-            total += (
-                (-1) ** (i + j - u - v)
-                * binom(i - 1, u - 1)
-                * binom(j - 1, v - 1)
-                * mm.s[i][j]
-            )
-    return total
+    return _kernel.mapped(mm, mm.s, _kernel.tails_map)[u][v]
 
 
 def tail_table_from_moments(mm: MomentMatrix) -> TailTable:
@@ -97,24 +82,13 @@ def tail_table_from_moments(mm: MomentMatrix) -> TailTable:
 
 def moments_from_tails(tt: TailTable, i: int, j: int) -> Fraction:
     """Binomial moment s[i][j] recovered from the tail grid; inverse of
-    tails_from_moments.  i = 0 or j = 0 use the univariate marginal form."""
+    tails_from_moments.  i = 0 or j = 0 use the univariate marginal form;
+    s[0][0] is 1 whatever q[0][0] holds."""
     _check_range("i", i, 0, tt.m)
     _check_range("j", j, 0, tt.n)
     if i == 0 and j == 0:
         return Fraction(1)
-    if i == 0:
-        return Fraction(sum(
-            binom(v - 1, j - 1) * tt.q[0][v] for v in range(j, tt.n + 1)
-        ))
-    if j == 0:
-        return Fraction(sum(
-            binom(u - 1, i - 1) * tt.q[u][0] for u in range(i, tt.m + 1)
-        ))
-    total = Fraction(0)
-    for u in range(i, tt.m + 1):
-        for v in range(j, tt.n + 1):
-            total += binom(u - 1, i - 1) * binom(v - 1, j - 1) * tt.q[u][v]
-    return total
+    return _kernel.mapped(tt, tt.q, _kernel.tails_inverse_map)[i][j]
 
 
 def pgf_eval(pmf: JointPMF, t: Rational, s: Rational) -> Fraction:
@@ -152,16 +126,16 @@ def complementary_moment(mm: MomentMatrix, k: int, l: int) -> Fraction:
 
         C(m,k) E C(n-T,l) + C(n,l) E C(m-S,k) - E C(m-S,k) C(n-T,l)
 
-    expressed as a linear combination of the moment grid."""
+    expressed as a linear combination of the moment grid:
+
+        Sbar[k][l] = C(m,k) C(n,l) - (A . s . B^T)[k][l],
+        A[k][i] = (-1)^i C(m-i, k-i) for 1 <= i <= k, B likewise in n,
+
+    computed for every (k, l) on the first call for a grid."""
     _check_range("k", k, 1, mm.m)
     _check_range("l", l, 1, mm.n)
-    acc = Fraction(binom(mm.m, k) * binom(mm.n, l))
-    for s_ in range(1, k + 1):
-        for r in range(1, l + 1):
-            acc -= (
-                (-1) ** (s_ + r)
-                * binom(mm.m - s_, k - s_)
-                * binom(mm.n - r, l - r)
-                * mm.s[s_][r]
-            )
-    return acc
+    part, den = _kernel.product(
+        mm, mm.s, "complementary",
+        _kernel.complement_map(mm.m), _kernel.complement_map(mm.n),
+    )
+    return Fraction(comb(mm.m, k) * comb(mm.n, l) * den - part[k][l], den)

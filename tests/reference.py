@@ -1,0 +1,172 @@
+"""Reference implementations for the kernel tests: the direct per-cell double
+sums that the package evaluated before its maps went through the separable
+integer kernel.  Each returns the value (None for an undefined bound) or
+raises the same DomainError as the package function it mirrors."""
+
+from fractions import Fraction
+
+from bvbounds import DomainError, binom
+
+
+def _check_range(name, value, lo, hi):
+    if not (lo <= value <= hi):
+        raise DomainError(f"{name}={value} outside [{lo}, {hi}]")
+
+
+def moments_from_pmf(pmf):
+    return [
+        [
+            sum(
+                binom(u, i) * binom(v, j) * pmf.p[u][v]
+                for u in range(i, pmf.m + 1)
+                for v in range(j, pmf.n + 1)
+            )
+            for j in range(pmf.n + 1)
+        ]
+        for i in range(pmf.m + 1)
+    ]
+
+
+def pmf_from_moments(mm, u, v):
+    _check_range("u", u, 0, mm.m)
+    _check_range("v", v, 0, mm.n)
+    total = Fraction(0)
+    for i in range(u, mm.m + 1):
+        for j in range(v, mm.n + 1):
+            total += (
+                (-1) ** (i + j - u - v) * binom(i, u) * binom(j, v) * mm.s[i][j]
+            )
+    return total
+
+
+def tails_from_moments(mm, u, v):
+    _check_range("u", u, 0, mm.m)
+    _check_range("v", v, 0, mm.n)
+    if u == 0 and v == 0:
+        return Fraction(1)
+    if u == 0:
+        return Fraction(sum(
+            (-1) ** (j - v) * binom(j - 1, v - 1) * mm.s[0][j]
+            for j in range(v, mm.n + 1)
+        ))
+    if v == 0:
+        return Fraction(sum(
+            (-1) ** (i - u) * binom(i - 1, u - 1) * mm.s[i][0]
+            for i in range(u, mm.m + 1)
+        ))
+    total = Fraction(0)
+    for i in range(u, mm.m + 1):
+        for j in range(v, mm.n + 1):
+            total += (
+                (-1) ** (i + j - u - v)
+                * binom(i - 1, u - 1)
+                * binom(j - 1, v - 1)
+                * mm.s[i][j]
+            )
+    return total
+
+
+def moments_from_tails(tt, i, j):
+    _check_range("i", i, 0, tt.m)
+    _check_range("j", j, 0, tt.n)
+    if i == 0 and j == 0:
+        return Fraction(1)
+    if i == 0:
+        return Fraction(sum(
+            binom(v - 1, j - 1) * tt.q[0][v] for v in range(j, tt.n + 1)
+        ))
+    if j == 0:
+        return Fraction(sum(
+            binom(u - 1, i - 1) * tt.q[u][0] for u in range(i, tt.m + 1)
+        ))
+    total = Fraction(0)
+    for u in range(i, tt.m + 1):
+        for v in range(j, tt.n + 1):
+            total += binom(u - 1, i - 1) * binom(v - 1, j - 1) * tt.q[u][v]
+    return total
+
+
+def complementary_moment(mm, k, l):
+    _check_range("k", k, 1, mm.m)
+    _check_range("l", l, 1, mm.n)
+    acc = Fraction(binom(mm.m, k) * binom(mm.n, l))
+    for s_ in range(1, k + 1):
+        for r in range(1, l + 1):
+            acc -= (
+                (-1) ** (s_ + r)
+                * binom(mm.m - s_, k - s_)
+                * binom(mm.n - r, l - r)
+                * mm.s[s_][r]
+            )
+    return acc
+
+
+def bonferroni_pair(mm, u, v, k):
+    _check_range("u", u, 1, mm.m)
+    _check_range("v", v, 1, mm.n)
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+
+    def truncated(cutoff):
+        total = Fraction(0)
+        for t in range(u + v, min(cutoff, mm.m + mm.n) + 1):
+            sign = (-1) ** (t - (u + v))
+            for i in range(max(u, t - mm.n), min(mm.m, t - v) + 1):
+                j = t - i
+                total += (
+                    sign * binom(i - 1, u - 1) * binom(j - 1, v - 1) * mm.s[i][j]
+                )
+        return total
+
+    return truncated(u + v + 2 * k + 1), truncated(u + v + 2 * k)
+
+
+def frechet_lower(mm, k, l):
+    _check_range("k", k, 1, mm.m)
+    _check_range("l", l, 1, mm.n)
+    denom = binom(mm.m, k) * binom(mm.n, l)
+    return (denom - complementary_moment(mm, k, l)) / denom
+
+
+def gumbel_upper(mm, k, l):
+    _check_range("k", k, 1, mm.m)
+    _check_range("l", l, 1, mm.n)
+    num = binom(mm.m, k) * binom(mm.n, l) - complementary_moment(mm, k, l)
+    return num / (binom(mm.m - 1, k - 1) * binom(mm.n - 1, l - 1))
+
+
+def frechet_gumbel_type(mm, s, t, k, l):
+    _check_range("s", s, 1, mm.m)
+    _check_range("t", t, 1, mm.n)
+    _check_range("k", k, 1, mm.m)
+    _check_range("l", l, 1, mm.n)
+    sbar = complementary_moment(mm, k, l)
+    lo_denom = binom(mm.m - s + 1, k) * binom(mm.n - t + 1, l)
+    lower = None if lo_denom == 0 else 1 - sbar / lo_denom
+    up_denom = (binom(mm.m, k) - binom(mm.m - s, k)) * (
+        binom(mm.n, l) - binom(mm.n - t, l)
+    )
+    upper = (
+        None if up_denom == 0
+        else (binom(mm.m, k) * binom(mm.n, l) - sbar) / up_denom
+    )
+    return lower, upper
+
+
+def chung_bound(mm, s, t, k, l):
+    if not (1 <= s <= k <= mm.m):
+        raise DomainError("need 1 <= s <= k <= m")
+    if not (1 <= t <= l <= mm.n):
+        raise DomainError("need 1 <= t <= l <= n")
+    num = Fraction(0)
+    for i in range(s, k + 1):
+        for j in range(t, l + 1):
+            num += (
+                (-1) ** (i + j - s - t)
+                * binom(i - 1, i - s)
+                * binom(mm.m - i, k - i)
+                * binom(j - 1, j - t)
+                * binom(mm.n - j, l - j)
+                * mm.s[i][j]
+            )
+    return num / (binom(mm.m - s, k - s) * binom(mm.n - t, l - t))

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +217,51 @@ class TestErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", "1"), ("n", "1"), ("m", True), ("n", 1.0), ("m", 0), ("n", -1),
+        ("m", None),
+    ])
+    @pytest.mark.parametrize("grid", ["p", "s"])
+    def test_bad_dimension(self, tmp_path, capsys, key, value, grid):
+        doc = {"m": 1, "n": 1, grid: [["1", "0"], ["0", "0"]], key: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(["invert", "--in", str(path), "--to", "pmf"],
+                               capsys)
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {path}: {key!r} must be an integer")
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        status, _, err = run(["moments", "--in", str(path)], capsys)
+        assert status == 1
+        assert err.startswith(f"error: {path}: top level")
+
+    @pytest.mark.parametrize("flag", ["--mmax", "--nmax"])
+    def test_validate_dimension_below_one(self, capsys, flag):
+        status, out, err = run(["validate", "--trials", "3", flag, "0"],
+                               capsys)
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {flag} must be >= 1")
+
+
+@pytest.mark.parametrize("grid", [
+    {"m": 1, "n": 1, "p": [["1/2", "0"], ["0", "1/2"]]},
+    {"m": 1, "n": 1, "s": [["1", "1/2"], ["1/2", "1/2"]]},
+])
+def test_input_file_is_read_once(tmp_path, capsys, monkeypatch, grid):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(grid))
+    reads = []
+    read_text = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    status, _, _ = run(["invert", "--in", str(path), "--to", "tails"], capsys)
+    assert status == 0
+    assert reads == [path]

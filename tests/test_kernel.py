@@ -1,0 +1,219 @@
+"""The integer separable kernel against the direct double sums it replaced
+(tests/reference.py), the CLI against golden output, and the oracle's
+independence from the kernel."""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bvbounds
+import reference as ref
+from bvbounds import (
+    DomainError,
+    JointPMF,
+    MomentMatrix,
+    TailTable,
+    bonferroni_pair,
+    chung_bound,
+    complementary_moment,
+    frechet_gumbel_type,
+    frechet_lower,
+    gumbel_upper,
+    moments_from_pmf,
+    moments_from_tails,
+    pmf_from_moments,
+    tail_table_from_moments,
+    tails_from_moments,
+)
+from bvbounds.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(bvbounds.__file__).parent
+
+# Entries with unequal denominators, both signs.
+entries = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@st.composite
+def moment_matrices(draw, lo=0):
+    m = draw(st.integers(lo, 4))
+    n = draw(st.integers(lo, 4))
+    rows = st.lists(entries, min_size=n + 1, max_size=n + 1)
+    return MomentMatrix(m, n, draw(st.lists(rows, min_size=m + 1,
+                                            max_size=m + 1)))
+
+
+@st.composite
+def tail_tables(draw):
+    mm = draw(moment_matrices(lo=1))
+    return TailTable(mm.m, mm.n, mm.s)
+
+
+@st.composite
+def pmfs(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    weight = st.fractions(min_value=0, max_value=5, max_denominator=7)
+    w = draw(st.lists(st.lists(weight, min_size=n + 1, max_size=n + 1),
+                      min_size=m + 1, max_size=m + 1))
+    w[0][0] += 1
+    total = sum(map(sum, w))
+    return JointPMF(m, n, [[x / total for x in row] for row in w])
+
+
+def outcome(fn, *args):
+    """A function's value, or the DomainError message it raised; a bound
+    (pair) becomes its value(s)."""
+    try:
+        value = fn(*args)
+    except DomainError as exc:
+        return ("error", str(exc))
+    if isinstance(value, tuple):
+        return tuple(outcome(lambda: v) for v in value)
+    if isinstance(value, bvbounds.BoundValue):
+        value = value.value
+    assert value is None or type(value) is Fraction
+    return value
+
+
+def span(extent):
+    """Every legal index and one illegal one on either side."""
+    return range(-1, extent + 2)
+
+
+kernel_settings = settings(max_examples=60, deadline=None)
+
+
+@kernel_settings
+@given(pmfs())
+def test_moments_from_pmf(pmf):
+    mm = moments_from_pmf(pmf)
+    assert [list(row) for row in mm.s] == ref.moments_from_pmf(pmf)
+    assert all(type(x) is Fraction for row in mm.s for x in row)
+
+
+@kernel_settings
+@given(moment_matrices())
+def test_inversions(mm):
+    for u in span(mm.m):
+        for v in span(mm.n):
+            for fn, want in ((pmf_from_moments, ref.pmf_from_moments),
+                             (tails_from_moments, ref.tails_from_moments)):
+                assert outcome(fn, mm, u, v) == outcome(want, mm, u, v)
+    if mm.m and mm.n:
+        assert [list(row) for row in tail_table_from_moments(mm).q] == [
+            [ref.tails_from_moments(mm, u, v) for v in range(mm.n + 1)]
+            for u in range(mm.m + 1)
+        ]
+
+
+@kernel_settings
+@given(tail_tables())
+def test_moments_from_tails(tt):
+    for i in span(tt.m):
+        for j in span(tt.n):
+            assert outcome(moments_from_tails, tt, i, j) == outcome(
+                ref.moments_from_tails, tt, i, j
+            )
+
+
+@kernel_settings
+@given(moment_matrices())
+def test_complementary_frechet_gumbel(mm):
+    for k in span(mm.m):
+        for l in span(mm.n):
+            for fn, want in ((complementary_moment, ref.complementary_moment),
+                             (frechet_lower, ref.frechet_lower),
+                             (gumbel_upper, ref.gumbel_upper)):
+                assert outcome(fn, mm, k, l) == outcome(want, mm, k, l)
+
+
+@kernel_settings
+@given(moment_matrices())
+def test_type_and_chung(mm):
+    for s in span(mm.m):
+        for t in span(mm.n):
+            for k in range(mm.m + 1):
+                for l in range(mm.n + 1):
+                    args = (mm, s, t, k, l)
+                    assert outcome(frechet_gumbel_type, *args) == outcome(
+                        ref.frechet_gumbel_type, *args
+                    )
+                    assert outcome(chung_bound, *args) == outcome(
+                        ref.chung_bound, *args
+                    )
+
+
+@kernel_settings
+@given(moment_matrices())
+def test_bonferroni(mm):
+    for u in span(mm.m):
+        for v in span(mm.n):
+            for k in range(-1, (mm.m + mm.n) // 2 + 3):
+                assert outcome(bonferroni_pair, mm, u, v, k) == outcome(
+                    ref.bonferroni_pair, mm, u, v, k
+                )
+
+
+def test_type_zero_denominator_is_undefined():
+    mm = moments_from_pmf(JointPMF(3, 3, [[Fraction(1, 16)] * 4] * 4))
+    # C(m-s+1, k) = C(1, 2) = 0
+    lo, up = frechet_gumbel_type(mm, 3, 1, 2, 1)
+    assert lo.value is None and not lo.defined
+    assert lo.note == "bound undefined for these parameters (zero denominator)"
+    assert up.value == ref.frechet_gumbel_type(mm, 3, 1, 2, 1)[1]
+
+
+def test_extent_zero_moment_grid():
+    mm = MomentMatrix(0, 2, [[Fraction(1), Fraction(-1, 2), Fraction(1, 3)]])
+    for v in range(3):
+        assert pmf_from_moments(mm, 0, v) == ref.pmf_from_moments(mm, 0, v)
+        assert tails_from_moments(mm, 0, v) == ref.tails_from_moments(mm, 0, v)
+    with pytest.raises(DomainError, match=r"k=1 outside \[1, 0\]"):
+        complementary_moment(mm, 1, 1)
+
+
+def test_results_are_cached_per_instance_without_changing_equality():
+    mm = MomentMatrix(2, 2, [[1, 2, 1], [2, 4, 2], [1, 2, 1]])
+    fresh = MomentMatrix(2, 2, mm.s)
+    complementary_moment(mm, 1, 1)
+    chung_bound(mm, 1, 1, 2, 2)
+    assert vars(mm) != vars(fresh)
+    assert mm == fresh and hash(mm) == hash(fresh)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["compare", "--in", "pmf6.json", "--u", "1", "--v", "1"],
+     "compare_u1_v1.txt"),
+    (["compare", "--in", "pmf6.json", "--u", "2", "--v", "3"],
+     "compare_u2_v3.txt"),
+    (["moments", "--in", "pmf6.json", "--json"], "moments6.json"),
+    (["invert", "--in", "moments6.json", "--to", "pmf"], "invert_pmf.txt"),
+    (["invert", "--in", "moments6.json", "--to", "tails"], "invert_tails.txt"),
+])
+def test_cli_output_matches_golden(argv, golden, capsys):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_oracle_does_not_import_the_kernel():
+    kernel_names = {
+        node.name
+        for node in ast.parse((SRC / "_kernel.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } | {"_kernel"}
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "_kernel" not in (node.module or "")
+            assert not {a.name for a in node.names} & kernel_names
+        elif isinstance(node, ast.Import):
+            assert not any("_kernel" in a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in kernel_names
+        elif isinstance(node, ast.Name):
+            assert node.id not in kernel_names
