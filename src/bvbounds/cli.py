@@ -3,8 +3,9 @@
 Input formats:
   * pmf JSON: {"m": int, "n": int, "p": [[rational-string]]} row-major by u;
     entries may be "a/b" fractions or decimal strings, parsed exactly.
-  * moment JSON: {"m": int, "n": int, "s": [[rational-string]]}.
-  * event CSV: header "weight,A1..Am,B1..Bn", one atom per row.
+  * moment JSON: {"m": int, "n": int, "s": [[rational-string]]}; the grid
+    must be feasible: s[0][0] = 1 and the pmf it inverts to nonnegative.
+  * event CSV: header exactly "weight,A1..Am,B1..Bn", one atom per row.
 
 Exit status: 0 success, 1 usage/parse error, 2 property violation found by
 `validate` or `sweep`.
@@ -18,6 +19,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -79,13 +81,14 @@ def load_events_csv(path: str) -> EventSystem:
     if not rows:
         raise InputError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
-    if not header or header[0] != "weight":
-        raise InputError(f"{path}: line 1: header must start with 'weight'")
-    m = sum(1 for h in header[1:] if h.startswith("A"))
-    n = sum(1 for h in header[1:] if h.startswith("B"))
-    if 1 + m + n != len(header) or m < 1 or n < 1:
+    m = sum(1 for h in header if h.startswith("A"))
+    n = len(header) - 1 - m
+    expected = (["weight"] + [f"A{i}" for i in range(1, m + 1)]
+                + [f"B{j}" for j in range(1, n + 1)])
+    if header != expected or m < 1 or n < 1:
         raise InputError(
-            f"{path}: line 1: header must be weight,A1..Am,B1..Bn"
+            f"{path}: line 1: header must be weight,A1..Am,B1..Bn "
+            f"with m, n >= 1, got {','.join(header)!r}"
         )
     atoms = []
     for lineno, row in enumerate(rows[1:], start=2):
@@ -109,6 +112,23 @@ def load_events_csv(path: str) -> EventSystem:
         raise InputError(f"{path}: {exc}")
 
 
+def _feasible(mm: MomentMatrix, path: str) -> MomentMatrix:
+    """mm, if it is the moment grid of a pmf: s[0][0] = 1 and the exactly
+    inverted pmf is nonnegative (it then sums to s[0][0])."""
+    if mm.s[0][0] != 1:
+        raise InputError(
+            f"{path}: infeasible moment grid: s[0][0] = {mm.s[0][0]}, must be 1"
+        )
+    for u, row in enumerate(transforms.pmf_grid_from_moments(mm)):
+        for v, x in enumerate(row):
+            if x.numerator < 0:  # cheaper than x < 0, same sign
+                raise InputError(
+                    f"{path}: infeasible moment grid: it inverts to "
+                    f"P(S={u}, T={v}) = {x} < 0"
+                )
+    return mm
+
+
 def load_instance(path: str) -> Union[JointPMF, EventSystem, MomentMatrix]:
     """pmf JSON, moment JSON, or event CSV, decided by extension/keys; the
     file is read and parsed once."""
@@ -120,13 +140,14 @@ def load_instance(path: str) -> Union[JointPMF, EventSystem, MomentMatrix]:
         raise InputError(f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
-    for key, kind in (("p", JointPMF), ("s", MomentMatrix)):
-        if key in doc:
-            m, n, grid = _grid_from_json(doc, key, path)
-            try:
-                return kind(m, n, grid)
-            except DomainError as exc:
-                raise InputError(f"{path}: {exc}")
+    try:
+        if "p" in doc:
+            return JointPMF(*_grid_from_json(doc, "p", path))
+        if "s" in doc:
+            return _feasible(MomentMatrix(*_grid_from_json(doc, "s", path)),
+                             path)
+    except DomainError as exc:
+        raise InputError(f"{path}: {exc}")
     raise InputError(f"{path}: JSON must contain a 'p' (pmf) or 's' (moments) grid")
 
 
@@ -207,10 +228,7 @@ def cmd_invert(args, out) -> int:
     obj = load_instance(args.infile)
     mm = to_moments(obj)
     if args.to == "pmf":
-        grid = [
-            [transforms.pmf_from_moments(mm, u, v) for v in range(mm.n + 1)]
-            for u in range(mm.m + 1)
-        ]
+        grid = transforms.pmf_grid_from_moments(mm)
         print(grid_json(mm.m, mm.n, "p", grid), file=out)
     else:
         tt = transforms.tail_table_from_moments(mm)
@@ -367,6 +385,29 @@ def _compare_rows(mm: MomentMatrix, u: int, v: int):
     return rows
 
 
+def _ordered(defined):
+    """(value, direction, label, starred) for each defined (label, bound)
+    row, in the order of (exact value, direction, label).  The starred rows
+    hold the best bounds: the greatest lower and the least upper value.
+
+    Each row is keyed by floor(value * 2**64) first, an int that never
+    decreases as the value grows, so int comparisons decide almost every
+    pair; the exact Fraction is compared only where two values agree to
+    2**-64."""
+    keyed = sorted(
+        ((b.value.numerator << 64) // b.value.denominator, b.value,
+         b.direction, lbl)
+        for lbl, b in defined
+    )
+    best = {
+        "lower": next((k[:2] for k in reversed(keyed) if k[2] == "lower"),
+                      None),
+        "upper": next((k[:2] for k in keyed if k[2] == "upper"), None),
+    }
+    return [(value, direction, lbl, (prefix, value) == best[direction])
+            for prefix, value, direction, lbl in keyed]
+
+
 def cmd_compare(args, out) -> int:
     obj = load_instance(args.infile)
     if isinstance(obj, MomentMatrix):
@@ -381,28 +422,14 @@ def cmd_compare(args, out) -> int:
     mm = model.moments_from_pmf(pmf)
     exact = oracle.exact_tail(pmf, u, v)
     rows = _compare_rows(mm, u, v)
-    defined = [(lbl, b) for lbl, b in rows if b.defined]
-    skipped = [(lbl, b) for lbl, b in rows if not b.defined]
-    best_lower = max(
-        (b.value for _, b in defined if b.direction == "lower"), default=None
-    )
-    best_upper = min(
-        (b.value for _, b in defined if b.direction == "upper"), default=None
-    )
-    entries = sorted(
-        defined, key=lambda r: (r[1].value, r[1].direction, r[0])
-    )
-    print(f"target P(S>={u}, T>={v})", file=out)
-    print(f"exact  {fmt(exact)}", file=out)
-    for lbl, b in entries:
-        star = ""
-        if b.direction == "lower" and b.value == best_lower:
-            star = "  *best lower*"
-        elif b.direction == "upper" and b.value == best_upper:
-            star = "  *best upper*"
-        print(f"{b.direction:5s}  {fmt(b.value):24s}  {lbl}{star}", file=out)
-    for lbl, b in skipped:
-        print(f"skip   {lbl}: {b.note}", file=out)
+    lines = [f"target P(S>={u}, T>={v})", f"exact  {fmt(exact)}"]
+    for value, direction, lbl, starred in _ordered(
+        (lbl, b) for lbl, b in rows if b.defined
+    ):
+        star = f"  *best {direction}*" if starred else ""
+        lines.append(f"{direction:5s}  {fmt(value):24s}  {lbl}{star}")
+    lines.extend(f"skip   {lbl}: {b.note}" for lbl, b in rows if not b.defined)
+    out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -444,7 +471,10 @@ FAMILY_CHOICES = ("bonferroni", "frechet", "gumbel", "type", "chung",
                   "c1", "c3", "c6")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call; nothing may modify it."""
     parser = argparse.ArgumentParser(
         prog="bvbounds",
         description="Exact bivariate binomial moments, inversions, and "

@@ -18,7 +18,10 @@ Grid = Tuple[Tuple[Fraction, ...], ...]
 def _freeze_grid(rows: Sequence[Sequence], m: int, n: int, what: str) -> Grid:
     if len(rows) != m + 1 or any(len(row) != n + 1 for row in rows):
         raise DomainError(f"{what} grid must be ({m + 1})x({n + 1})")
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+        for row in rows
+    )
 
 
 @dataclass(frozen=True)

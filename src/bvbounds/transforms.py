@@ -51,11 +51,17 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise DomainError(f"{name}={value} outside [{lo}, {hi}]")
 
 
+def pmf_grid_from_moments(mm: MomentMatrix) -> Grid:
+    """Every P(S=u, T=v) recovered from the moment grid, computed once per
+    grid."""
+    return _kernel.mapped(mm, mm.s, _kernel.pmf_map)
+
+
 def pmf_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
     """P(S=u, T=v) recovered from the moment grid."""
     _check_range("u", u, 0, mm.m)
     _check_range("v", v, 0, mm.n)
-    return _kernel.mapped(mm, mm.s, _kernel.pmf_map)[u][v]
+    return pmf_grid_from_moments(mm)[u][v]
 
 
 def tails_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:

@@ -265,3 +265,44 @@ def test_input_file_is_read_once(tmp_path, capsys, monkeypatch, grid):
     status, _, _ = run(["invert", "--in", str(path), "--to", "tails"], capsys)
     assert status == 0
     assert reads == [path]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("header, row", [
+        ("weight,B1,A1", "1,1,0"),            # columns out of order
+        ("weight,A1,B1,A2,B2", "1,1,0,0,1"),  # interleaved families
+        ("weight,Ax,B1", "1,1,0"),            # bad event name
+        ("weight,A1,A1,B1", "1,1,0,0"),       # repeated event name
+    ])
+    def test_csv_header_must_be_exact(self, tmp_path, capsys, header, row):
+        path = tmp_path / "events.csv"
+        path.write_text(f"{header}\n{row}\n")
+        status, out, err = run(["moments", "--in", str(path)], capsys)
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {path}: line 1: header must be")
+
+    @pytest.mark.parametrize("s, cell", [
+        ([["2", "1"], ["1", "1"]], "s[0][0] = 2"),
+        ([["1", "1"], ["1", "2"]], "P(S=0, T=1) = -1"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--to", "pmf"],
+        ["bound", "--family", "chung", "--s", "1", "--t", "1", "--k", "1",
+         "--l", "1"],
+    ])
+    def test_infeasible_moment_grid(self, tmp_path, capsys, s, cell, argv):
+        path = tmp_path / "mm.json"
+        path.write_text(json.dumps({"m": 1, "n": 1, "s": s}))
+        status, out, err = run(argv + ["--in", str(path)], capsys)
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {path}: infeasible moment grid")
+        assert cell in err
+
+    def test_feasible_moment_grid_with_zero_cells(self, tmp_path, capsys):
+        path = tmp_path / "mm.json"
+        path.write_text(json.dumps({"m": 1, "n": 1,
+                                    "s": [["1", "1"], ["1", "1"]]}))
+        status, out, _ = run(["invert", "--in", str(path), "--to", "pmf"],
+                             capsys)
+        assert status == 0
+        assert json.loads(out)["p"] == [["0", "0"], ["0", "1"]]

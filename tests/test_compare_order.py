@@ -1,0 +1,78 @@
+"""The order and best-bound stars of `compare` rows."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from bvbounds.bounds import BoundValue
+from bvbounds.cli import _ordered
+
+TINY = Fraction(1, 2**80)
+
+
+@st.composite
+def compare_rows(draw):
+    """(label, bound) rows whose values repeat exactly, across directions
+    too, or differ by less than 2**-64; negative values and values above 1
+    included."""
+    bases = draw(st.lists(
+        st.fractions(min_value=-40, max_value=40, max_denominator=500),
+        min_size=1, max_size=4,
+    ))
+    pool = [b + d for b in bases
+            for d in (0, TINY, -TINY, Fraction(1, 2**64))]
+    rows = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["chung k=1 l=2", "chung k=10 l=2", "c1",
+                             "gumbel k=2 l=1", "type-upper k=1 l=1"]),
+            st.sampled_from(pool),
+            st.sampled_from(["lower", "upper"]),
+        ),
+        max_size=14,
+    ))
+    return [(lbl, BoundValue(value, direction, "test"))
+            for lbl, value, direction in rows]
+
+
+def check_ordered(rows):
+    ordered = _ordered(rows)
+    want = sorted(rows, key=lambda r: (r[1].value, r[1].direction, r[0]))
+    assert [row[:3] for row in ordered] == [
+        (b.value, b.direction, lbl) for lbl, b in want
+    ]
+    best = {
+        "lower": max((b.value for _, b in rows if b.direction == "lower"),
+                     default=None),
+        "upper": min((b.value for _, b in rows if b.direction == "upper"),
+                     default=None),
+    }
+    assert [starred for *_, starred in ordered] == [
+        value == best[direction] for value, direction, _, _ in ordered
+    ]
+
+
+@given(compare_rows())
+def test_ordered_matches_exact_sort_and_stars(rows):
+    check_ordered(rows)
+
+
+@pytest.mark.parametrize("directions", [
+    (), ("lower",) * 3, ("upper",) * 3, ("lower", "upper", "lower"),
+])
+def test_ordered_one_sided_and_tied(directions):
+    # Every row has the same value: a tie across both directions.
+    rows = [(f"row {i}", BoundValue(Fraction(7, 3), d, "test"))
+            for i, d in enumerate(directions)]
+    check_ordered(rows)
+    assert all(starred for *_, starred in _ordered(rows))
+
+
+def test_values_closer_than_the_prefix_stay_apart():
+    x = Fraction(-5, 7)
+    rows = [("b", BoundValue(x + TINY, "lower", "test")),
+            ("a", BoundValue(x, "lower", "test")),
+            ("c", BoundValue(x - TINY, "upper", "test"))]
+    assert [(lbl, starred) for _, _, lbl, starred in _ordered(rows)] == [
+        ("c", True), ("a", False), ("b", True)]
+

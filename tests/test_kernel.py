@@ -193,6 +193,10 @@ def test_results_are_cached_per_instance_without_changing_equality():
     (["moments", "--in", "pmf6.json", "--json"], "moments6.json"),
     (["invert", "--in", "moments6.json", "--to", "pmf"], "invert_pmf.txt"),
     (["invert", "--in", "moments6.json", "--to", "tails"], "invert_tails.txt"),
+    (["compare", "--in", "pmf12.json", "--u", "1", "--v", "1"],
+     "compare12_u1_v1.txt"),
+    (["compare", "--in", "pmf12.json", "--u", "2", "--v", "3"],
+     "compare12_u2_v3.txt"),
 ])
 def test_cli_output_matches_golden(argv, golden, capsys):
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
