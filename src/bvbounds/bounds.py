@@ -12,6 +12,15 @@ Families:
   * three closed-form literature bounds on P(S>=1, T>=1) built from the four
     moments s11, s12, s21, s22.
 
+Each bound of the first four families is an integer numerator over an
+integer denominator.  A *sweep*, computed once per grid, family and target,
+holds the (numerator, denominator) ints of every legal depth (k, l), or k
+for Bonferroni, read off the memoised kernel products (complementary part,
+Chung numerators, Bonferroni anti-diagonal prefix); a denominator of 0
+marks an undefined bound.  The per-bound functions are thin readers of one
+cell.  The Frechet and Gumbel families are the type pair at target (1, 1),
+since C(m,k) - C(m-1,k) = C(m-1,k-1).
+
 Values are reported raw (they may fall outside [0, 1]); a vanishing
 denominator yields an undefined BoundValue rather than an error.
 """
@@ -21,15 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import _kernel
 from .combinatorics import DomainError
 from .model import MomentMatrix
-from .transforms import _check_range, complementary_moment
+from .transforms import _check_range, complementary_part
 
 LOWER = "lower"
 UPPER = "upper"
+
+Pair = Tuple[int, int]  # (numerator, denominator), 0 when undefined
+PairGrid = List[List[Pair]]  # [i][j]: depth (first k + i, first l + j)
 
 
 @dataclass(frozen=True)
@@ -48,9 +60,10 @@ class BoundValue:
         return self.value is not None
 
 
-def _ratio(num: int, denom: int, direction: str, family: str,
+def _ratio(cell: Pair, direction: str, family: str,
            params: Dict[str, int]) -> BoundValue:
-    """The bound num / denom, undefined when denom vanishes."""
+    """The bound in a sweep cell, undefined when its denominator is 0."""
+    num, denom = cell
     if denom == 0:
         return BoundValue(
             None, direction, family, params,
@@ -59,40 +72,107 @@ def _ratio(num: int, denom: int, direction: str, family: str,
     return BoundValue(Fraction(num, denom), direction, family, params)
 
 
+def _grid(nums, a, b) -> PairGrid:
+    """[i][j] = (nums[i][j], a[i] b[j])."""
+    return [[(x, ai * bj) for x, bj in zip(row, b)]
+            for row, ai in zip(nums, a)]
+
+
+def bonferroni_sweep(
+    mm: MomentMatrix, u: int, v: int
+) -> Tuple[List[Pair], List[Pair]]:
+    """(lower, upper) truncated alternating bounds on P(S>=u, T>=v): [k] is
+    the anti-diagonal partial sum of the tail inversion cut at total order
+    u+v+2k+1 (lower) and u+v+2k (upper), for 0 <= k <= K = (m+n-u-v)//2 + 1.
+    Both equal the exact tail at K, as does every deeper cut."""
+    _check_range("u", u, 1, mm.m)
+    _check_range("v", v, 1, mm.n)
+
+    def compute():
+        nums, den = _kernel.exact(mm, mm.s)
+        prefix = _kernel.antidiagonal_prefix(
+            nums, _kernel.tails_map(mm.m)[u], _kernel.tails_map(mm.n)[v]
+        )
+        last, cuts = mm.m + mm.n, range(u + v, mm.m + mm.n + 3, 2)
+        return ([(prefix[min(c + 1, last)], den) for c in cuts],
+                [(prefix[min(c, last)], den) for c in cuts])
+
+    return _kernel.memo(mm, ("bonferroni", u, v), compute)
+
+
+def type_sweep(mm: MomentMatrix, s: int,
+               t: int) -> Tuple[PairGrid, PairGrid]:
+    """(lower, upper) pair targeting P(S>=s, T>=t), [k-1][l-1] for
+    1 <= k <= m and 1 <= l <= n:
+
+        lower = 1 - Sbar_{k,l} / (C(m-s+1,k) C(n-t+1,l))
+        upper = (C(m,k)C(n,l) - Sbar_{k,l})
+                / ((C(m,k) - C(m-s,k)) (C(n,l) - C(n-t,l)))
+
+    Over the grid's common denominator, Sbar_{k,l} = C(m,k)C(n,l) -
+    part[k][l], so part[k][l] is the upper numerator."""
+    _check_range("s", s, 1, mm.m)
+    _check_range("t", t, 1, mm.n)
+    m, n = mm.m, mm.n
+    ks, ls = range(1, m + 1), range(1, n + 1)
+
+    def compute():
+        part, den = complementary_part(mm)
+        part = [row[1:] for row in part[1:]]
+        full_a = [comb(m, k) * den for k in ks]
+        full_b = [comb(n, l) for l in ls]
+        lo_a = [comb(m - s + 1, k) * den for k in ks]
+        lo_b = [comb(n - t + 1, l) for l in ls]
+        # 1 - Sbar / d = (d - C(m,k) C(n,l) + part) / d
+        lower = [[(a * b - fa * fb + x, a * b)
+                  for x, b, fb in zip(row, lo_b, full_b)]
+                 for row, a, fa in zip(part, lo_a, full_a)]
+        return lower, _grid(
+            part, [(comb(m, k) - comb(m - s, k)) * den for k in ks],
+            [comb(n, l) - comb(n - t, l) for l in ls])
+
+    return _kernel.memo(mm, ("type", s, t), compute)
+
+
+def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
+    """Alternating ratio bound on P(S>=s, T>=t), [k-s][l-t] for s <= k <= m,
+    t <= l <= n: alpha . s . beta^T over C(m-s,k-s) C(n-t,l-t)."""
+    if not (1 <= s <= mm.m):
+        raise DomainError("need 1 <= s <= k <= m")
+    if not (1 <= t <= mm.n):
+        raise DomainError("need 1 <= t <= l <= n")
+    m, n = mm.m, mm.n
+
+    def compute():
+        nums, den = _kernel.exact(mm, mm.s)
+        return _grid(
+            _kernel.apply(_kernel.chung_map(m, s)[s:], nums,
+                          _kernel.chung_map(n, t)[t:]),
+            [comb(m - s, k - s) * den for k in range(s, m + 1)],
+            [comb(n - t, l - t) for l in range(t, n + 1)])
+
+    return _kernel.memo(mm, ("chung", s, t), compute)
+
+
 def bonferroni_pair(
     mm: MomentMatrix, u: int, v: int, k: int
 ) -> Tuple[BoundValue, BoundValue]:
-    """Truncated alternating bounds on P(S>=u, T>=v): anti-diagonal partial
-    sums of the tail inversion, cut at total order u+v+2k+1 (lower) and
-    u+v+2k (upper).  Both equal the exact tail once the cutoff reaches m+n.
-    """
+    """Truncated alternating bounds on P(S>=u, T>=v) at depth k."""
     _check_range("u", u, 1, mm.m)
     _check_range("v", v, 1, mm.n)
     if k < 0:
         raise DomainError("k must be nonnegative")
-
-    def compute():
-        nums, den = _kernel.exact(mm, mm.s)
-        return _kernel.antidiagonal_prefix(
-            nums, _kernel.tails_map(mm.m)[u], _kernel.tails_map(mm.n)[v]
-        ), den
-
-    prefix, den = _kernel.memo(mm, ("bonferroni", u, v), compute)
-    last = mm.m + mm.n
-    params = {"u": u, "v": v, "k": k}
-    lower = Fraction(prefix[min(u + v + 2 * k + 1, last)], den)
-    upper = Fraction(prefix[min(u + v + 2 * k, last)], den)
-    return (BoundValue(lower, LOWER, "bonferroni", params),
-            BoundValue(upper, UPPER, "bonferroni", params))
+    lower, upper = bonferroni_sweep(mm, u, v)
+    depth, params = min(k, len(lower) - 1), {"u": u, "v": v, "k": k}
+    return (_ratio(lower[depth], LOWER, "bonferroni", params),
+            _ratio(upper[depth], UPPER, "bonferroni", params))
 
 
 def frechet_lower(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     """Product-form lower bound on P(S>=1, T>=1)."""
     _check_range("k", k, 1, mm.m)
     _check_range("l", l, 1, mm.n)
-    sbar = complementary_moment(mm, k, l)
-    denom = comb(mm.m, k) * comb(mm.n, l) * sbar.denominator
-    return _ratio(denom - sbar.numerator, denom, LOWER, "frechet",
+    return _ratio(type_sweep(mm, 1, 1)[0][k - 1][l - 1], LOWER, "frechet",
                   {"k": k, "l": l})
 
 
@@ -101,56 +181,33 @@ def gumbel_upper(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     s[1][1], the first-order truncation."""
     _check_range("k", k, 1, mm.m)
     _check_range("l", l, 1, mm.n)
-    sbar = complementary_moment(mm, k, l)
-    num = comb(mm.m, k) * comb(mm.n, l) * sbar.denominator - sbar.numerator
-    denom = comb(mm.m - 1, k - 1) * comb(mm.n - 1, l - 1) * sbar.denominator
-    return _ratio(num, denom, UPPER, "gumbel", {"k": k, "l": l})
+    return _ratio(type_sweep(mm, 1, 1)[1][k - 1][l - 1], UPPER, "gumbel",
+                  {"k": k, "l": l})
 
 
 def frechet_gumbel_type(
     mm: MomentMatrix, s: int, t: int, k: int, l: int
 ) -> Tuple[BoundValue, BoundValue]:
-    """Generalized lower/upper pair targeting P(S>=s, T>=t):
-
-        lower = 1 - Sbar_{k,l} / (C(m-s+1,k) C(n-t+1,l))
-        upper = (C(m,k)C(n,l) - Sbar_{k,l})
-                / ((C(m,k) - C(m-s,k)) (C(n,l) - C(n-t,l)))
-
-    Either bound is undefined when its denominator vanishes.
-    """
+    """Generalized lower/upper pair targeting P(S>=s, T>=t); either bound is
+    undefined when its denominator vanishes."""
     _check_range("s", s, 1, mm.m)
     _check_range("t", t, 1, mm.n)
     _check_range("k", k, 1, mm.m)
     _check_range("l", l, 1, mm.n)
-    sbar = complementary_moment(mm, k, l)
-    num, den = sbar.numerator, sbar.denominator
+    lower, upper = type_sweep(mm, s, t)
     params = {"s": s, "t": t, "k": k, "l": l}
-    lo_denom = comb(mm.m - s + 1, k) * comb(mm.n - t + 1, l) * den
-    up_denom = (comb(mm.m, k) - comb(mm.m - s, k)) * (
-        comb(mm.n, l) - comb(mm.n - t, l)
-    ) * den
-    lower = _ratio(lo_denom - num, lo_denom, LOWER, "frechet_type", params)
-    upper = _ratio(
-        comb(mm.m, k) * comb(mm.n, l) * den - num, up_denom,
-        UPPER, "gumbel_type", params,
-    )
-    return lower, upper
+    return (_ratio(lower[k - 1][l - 1], LOWER, "frechet_type", params),
+            _ratio(upper[k - 1][l - 1], UPPER, "gumbel_type", params))
 
 
 def chung_bound(mm: MomentMatrix, s: int, t: int, k: int, l: int) -> BoundValue:
     """Alternating ratio bound on P(S>=s, T>=t), nonincreasing in k and l
-    and equal to the exact tail at (k, l) = (m, n).  Its numerators for
-    every (k, l) are alpha . s . beta^T, computed once per target (s, t)."""
+    and equal to the exact tail at (k, l) = (m, n)."""
     if not (1 <= s <= k <= mm.m):
         raise DomainError("need 1 <= s <= k <= m")
     if not (1 <= t <= l <= mm.n):
         raise DomainError("need 1 <= t <= l <= n")
-    num, den = _kernel.product(
-        mm, mm.s, ("chung", s, t),
-        _kernel.chung_map(mm.m, s), _kernel.chung_map(mm.n, t),
-    )
-    denom = comb(mm.m - s, k - s) * comb(mm.n - t, l - t) * den
-    return _ratio(num[k][l], denom, UPPER, "chung",
+    return _ratio(chung_sweep(mm, s, t)[k - s][l - t], UPPER, "chung",
                   {"s": s, "t": t, "k": k, "l": l})
 
 
@@ -184,12 +241,8 @@ def comparison_bound(
     s21, s22 = mm.s[2][1], mm.s[2][2]
     family = _COMPARISON_FAMILY[which]
     if which == "c1":
-        value = (
-            s11
-            - Fraction(2, n) * s12
-            - Fraction(2, m) * s21
-            + Fraction(4, m * n) * s22
-        )
+        value = (s11 - Fraction(2, n) * s12 - Fraction(2, m) * s21
+                 + Fraction(4, m * n) * s22)
         return BoundValue(value, UPPER, family, {"u": 1, "v": 1})
     if which == "c3":
         if a is None or b is None:
@@ -201,9 +254,7 @@ def comparison_bound(
         if n - 2 * b - 1 > 0:
             raise DomainError(f"c3 requires n - 2b - 1 <= 0 (n={n}, b={b})")
         c = Fraction(4, (a + 1) * (b + 1))
-        value = (
-            c * s11 - c / b * s12 - c / a * s21 + c / (a * b) * s22
-        )
+        value = c * s11 - c / b * s12 - c / a * s21 + c / (a * b) * s22
         return BoundValue(value, LOWER, family, {"u": 1, "v": 1, "a": a, "b": b})
     # c6
     first = s11 - Fraction(2, m * n) * s12 - Fraction(2, m) * s21

@@ -20,6 +20,9 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from math import gcd
+from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -76,7 +79,7 @@ def load_events_csv(path: str) -> EventSystem:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, ValueError, csv.Error) as exc:  # also bad UTF-8
         raise InputError(f"{path}: {exc}")
     if not rows:
         raise InputError(f"{path}: empty file")
@@ -136,7 +139,7 @@ def load_instance(path: str) -> Union[JointPMF, EventSystem, MomentMatrix]:
         return load_events_csv(path)
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # deep nesting too
         raise InputError(f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
@@ -159,8 +162,14 @@ def to_moments(obj) -> MomentMatrix:
     return model.moments_from_pmf(obj)
 
 
+def fmt_ratio(num: int, den: int) -> str:
+    """num/den (den > 0, gcd 1) as str and float of the Fraction print it."""
+    text = str(num) if den == 1 else f"{num}/{den}"
+    return f"{text} (≈{num / den:.4f})"
+
+
 def fmt(q: Fraction) -> str:
-    return f"{q} (≈{float(q):.4f})"
+    return fmt_ratio(q.numerator, q.denominator)
 
 
 def grid_json(m: int, n: int, key: str, grid) -> str:
@@ -176,15 +185,11 @@ def print_matrix(title: str, grid, out) -> None:
         print("  " + "  ".join(str(x) for x in row), file=out)
 
 
-def _clamp(v: Fraction) -> Fraction:
-    return min(max(v, Fraction(0)), Fraction(1))
-
-
 def _emit_bound(b: BoundValue, clamp: bool, out) -> None:
     if not b.defined:
         print(f"undefined [{b.direction}] {b.family}: {b.note}", file=out)
         return
-    v = _clamp(b.value) if clamp else b.value
+    v = min(max(b.value, Fraction(0)), Fraction(1)) if clamp else b.value
     print(f"{fmt(v)} [{b.direction}]", file=out)
 
 
@@ -196,43 +201,33 @@ def cmd_moments(args, out) -> int:
     obj = load_instance(args.infile)
     if isinstance(obj, MomentMatrix):
         raise InputError(f"{args.infile}: moments input makes no sense here")
+    agree = None
     if isinstance(obj, EventSystem):
         kmax = args.kmax if args.kmax is not None else obj.m
         lmax = args.lmax if args.lmax is not None else obj.n
-        sums = model.bonferroni_sums(obj, kmax, lmax)
+        grid = model.bonferroni_sums(obj, kmax, lmax)
         mm = model.moments_from_pmf(model.counting_pmf(obj))
-        agree = all(
-            sums.s[k][l] == mm.s[k][l]
-            for k in range(kmax + 1)
-            for l in range(lmax + 1)
-        )
-        if args.json:
-            print(grid_json(sums.m, sums.n, "s", sums.s), file=out)
-        else:
-            print_matrix("bonferroni sums S_{k,l}:", sums.s, out)
-            print(
-                "gumbel identity vs counting-pmf moments: "
-                + ("OK" if agree else "MISMATCH"),
-                file=out,
-            )
-        return EXIT_OK if agree else EXIT_VIOLATION
-    mm = model.moments_from_pmf(obj)
-    if args.json:
-        print(grid_json(mm.m, mm.n, "s", mm.s), file=out)
+        agree = grid.s == tuple(row[:lmax + 1] for row in mm.s[:kmax + 1])
+        title = "bonferroni sums S_{k,l}:"
     else:
-        print_matrix("binomial moments s[i][j]:", mm.s, out)
-    return EXIT_OK
+        grid, title = model.moments_from_pmf(obj), "binomial moments s[i][j]:"
+    if args.json:
+        print(grid_json(grid.m, grid.n, "s", grid.s), file=out)
+    else:
+        print_matrix(title, grid.s, out)
+        if agree is not None:
+            print("gumbel identity vs counting-pmf moments: "
+                  + ("OK" if agree else "MISMATCH"), file=out)
+    return EXIT_VIOLATION if agree is False else EXIT_OK
 
 
 def cmd_invert(args, out) -> int:
-    obj = load_instance(args.infile)
-    mm = to_moments(obj)
+    mm = to_moments(load_instance(args.infile))
     if args.to == "pmf":
-        grid = transforms.pmf_grid_from_moments(mm)
-        print(grid_json(mm.m, mm.n, "p", grid), file=out)
+        key, grid = "p", transforms.pmf_grid_from_moments(mm)
     else:
-        tt = transforms.tail_table_from_moments(mm)
-        print(grid_json(tt.m, tt.n, "q", tt.q), file=out)
+        key, grid = "q", transforms.tail_table_from_moments(mm).q
+    print(grid_json(mm.m, mm.n, key, grid), file=out)
     return EXIT_OK
 
 
@@ -245,167 +240,118 @@ def _require_flag(args, name: str) -> int:
 
 def cmd_bound(args, out) -> int:
     mm = to_moments(load_instance(args.infile))
-    fam = args.family
-    if fam == "bonferroni":
-        lo, up = bnd.bonferroni_pair(
-            mm, _require_flag(args, "u"), _require_flag(args, "v"),
-            _require_flag(args, "k"),
-        )
-        _emit_bound(lo, args.clamp, out)
-        _emit_bound(up, args.clamp, out)
-    elif fam == "frechet":
-        _emit_bound(
-            bnd.frechet_lower(mm, _require_flag(args, "k"), _require_flag(args, "l")),
-            args.clamp, out,
-        )
-    elif fam == "gumbel":
-        _emit_bound(
-            bnd.gumbel_upper(mm, _require_flag(args, "k"), _require_flag(args, "l")),
-            args.clamp, out,
-        )
-    elif fam == "type":
-        lo, up = bnd.frechet_gumbel_type(
-            mm, _require_flag(args, "s"), _require_flag(args, "t"),
-            _require_flag(args, "k"), _require_flag(args, "l"),
-        )
-        _emit_bound(lo, args.clamp, out)
-        _emit_bound(up, args.clamp, out)
-    elif fam == "chung":
-        _emit_bound(
-            bnd.chung_bound(
-                mm, _require_flag(args, "s"), _require_flag(args, "t"),
-                _require_flag(args, "k"), _require_flag(args, "l"),
-            ),
-            args.clamp, out,
-        )
-    elif fam in ("c1", "c6"):
-        _emit_bound(bnd.comparison_bound(mm, fam), args.clamp, out)
-    elif fam == "c3":
-        _emit_bound(
-            bnd.comparison_bound(
-                mm, "c3", _require_flag(args, "a"), _require_flag(args, "b")
-            ),
-            args.clamp, out,
-        )
+    name, flags = BOUND_CALLS[args.family]
+    fixed = (args.family,) if name == "comparison_bound" else ()
+    result = getattr(bnd, name)(
+        mm, *fixed, *(_require_flag(args, flag) for flag in flags)
+    )
+    for b in result if isinstance(result, tuple) else (result,):
+        _emit_bound(b, args.clamp, out)
     return EXIT_OK
 
 
 def cmd_sweep(args, out) -> int:
     mm = to_moments(load_instance(args.infile))
     fam = args.family
-    violations = 0
     if fam in ("frechet", "gumbel"):
         if args.u != 1 or args.v != 1:
             raise InputError(f"--family {fam} targets u=1, v=1 only")
-        get = (
-            (lambda k, l: bnd.frechet_lower(mm, k, l).value)
-            if fam == "frechet"
-            else (lambda k, l: bnd.gumbel_upper(mm, k, l).value)
-        )
+        table = bnd.type_sweep(mm, 1, 1)[fam == "gumbel"]
         ks, ls = range(1, mm.m + 1), range(1, mm.n + 1)
     else:  # chung: sweep depth parameters at target (u, v)
-        s, t = args.u, args.v
-        get = lambda k, l: bnd.chung_bound(mm, s, t, k, l).value
-        ks, ls = range(s, mm.m + 1), range(t, mm.n + 1)
-    vals = {(k, l): get(k, l) for k in ks for l in ls}
-    increasing = fam == "frechet"
+        ks, ls = range(args.u, mm.m + 1), range(args.v, mm.n + 1)
+        table = bnd.chung_sweep(mm, args.u, args.v) if ks and ls else []
+    vals = {(k, l): Fraction(*table[k - ks.start][l - ls.start])
+            for k in ks for l in ls}
     print(f"{fam} sweep over (k, l):", file=out)
     for k in ks:
-        print(
-            "  " + "  ".join(str(vals[(k, l)]) for l in ls), file=out
-        )
-    ks, ls = list(ks), list(ls)
+        print("  " + "  ".join(str(vals[(k, l)]) for l in ls), file=out)
+    # Frechet is nondecreasing and concave, the others nonincreasing and
+    # convex, in each of k and l.
+    sign = 1 if fam == "frechet" else -1
+    violations = []
     for k in ks:
         for l in ls:
             for dk, dl, tag in ((1, 0, "k"), (0, 1, "l")):
-                if (k + dk, l + dl) in vals:
-                    step = vals[(k + dk, l + dl)] - vals[(k, l)]
-                    bad = step < 0 if increasing else step > 0
-                    if bad:
-                        violations += 1
-                        print(
-                            f"MONOTONICITY VIOLATION in {tag} at k={k}, l={l}",
-                            file=out,
-                        )
-                if (k + 2 * dk, l + 2 * dl) in vals:
-                    d2 = (
-                        vals[(k + 2 * dk, l + 2 * dl)]
-                        - 2 * vals[(k + dk, l + dl)]
-                        + vals[(k, l)]
-                    )
-                    bad = d2 > 0 if increasing else d2 < 0
-                    if bad:
-                        violations += 1
-                        print(
-                            f"CURVATURE VIOLATION in {tag} at k={k}, l={l}",
-                            file=out,
-                        )
+                a, b, c = (vals.get((k + i * dk, l + i * dl)) for i in range(3))
+                if b is not None and sign * (b - a) < 0:
+                    violations.append(f"MONOTONICITY VIOLATION in {tag} "
+                                      f"at k={k}, l={l}")
+                if c is not None and sign * (c - 2 * b + a) > 0:
+                    violations.append(f"CURVATURE VIOLATION in {tag} "
+                                      f"at k={k}, l={l}")
+    for line in violations:
+        print(line, file=out)
     if violations:
-        print(f"{violations} violation(s) found", file=out)
+        print(f"{len(violations)} violation(s) found", file=out)
         return EXIT_VIOLATION
     print("no monotonicity/convexity violations", file=out)
     return EXIT_OK
 
 
 def _compare_rows(mm: MomentMatrix, u: int, v: int):
-    rows: List[Tuple[str, BoundValue]] = []
+    """(label, direction, num, den) of each defined bound on P(S>=u, T>=v),
+    reduced once, and (label, note) of the undefined ones compare reports."""
+    rows: List[Tuple[str, str, int, int]] = []
 
-    def add(label: str, b: BoundValue) -> None:
-        if b.defined:
-            rows.append((label, b))
+    def add(direction: str, cell, *labels: str) -> None:
+        num, den = cell
+        if den:
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            rows.extend([(lbl, direction, num, den) for lbl in labels])
 
-    for k in range(1, mm.m + 1):
-        for l in range(1, mm.n + 1):
-            lo, up = bnd.frechet_gumbel_type(mm, u, v, k, l)
-            add(f"type-lower k={k} l={l}", lo)
-            add(f"type-upper k={k} l={l}", up)
-            if u == 1 and v == 1:
-                add(f"frechet k={k} l={l}", bnd.frechet_lower(mm, k, l))
-                add(f"gumbel k={k} l={l}", bnd.gumbel_upper(mm, k, l))
-    for k in range(u, mm.m + 1):
-        for l in range(v, mm.n + 1):
-            add(f"chung k={k} l={l}", bnd.chung_bound(mm, u, v, k, l))
-    for k in range((mm.m + mm.n - u - v) // 2 + 2):
-        lo, up = bnd.bonferroni_pair(mm, u, v, k)
-        add(f"bonferroni-lower k={k}", lo)
-        add(f"bonferroni-upper k={k}", up)
-    if u == 1 and v == 1:
-        if mm.m >= 2 and mm.n >= 2:
-            add("c1", bnd.comparison_bound(mm, "c1"))
-            add("c6", bnd.comparison_bound(mm, "c6"))
-            add(
-                f"c3 a={mm.m - 1} b={mm.n - 1}",
-                bnd.comparison_bound(mm, "c3", mm.m - 1, mm.n - 1),
-            )
-        else:
-            rows.append(
-                ("c1/c3/c6", BoundValue(None, "upper", "galambos_xu",
-                                        note="require m >= 2 and n >= 2"))
-            )
-    return rows
+    # At (1, 1) the Frechet and Gumbel bounds are the type pair.
+    at_11 = u == 1 and v == 1
+    lower, upper = bnd.type_sweep(mm, u, v)
+    for k, (lo_row, up_row) in enumerate(zip(lower, upper), start=1):
+        for l, (lo, up) in enumerate(zip(lo_row, up_row), start=1):
+            kl = f"k={k} l={l}"
+            add("lower", lo, f"type-lower {kl}", *[f"frechet {kl}"] * at_11)
+            add("upper", up, f"type-upper {kl}", *[f"gumbel {kl}"] * at_11)
+    for k, row in enumerate(bnd.chung_sweep(mm, u, v), start=u):
+        for l, cell in enumerate(row, start=v):
+            add("upper", cell, f"chung k={k} l={l}")
+    for k, (lo, up) in enumerate(zip(*bnd.bonferroni_sweep(mm, u, v))):
+        add("lower", lo, f"bonferroni-lower k={k}")
+        add("upper", up, f"bonferroni-upper k={k}")
+    if not at_11:
+        return rows, []
+    if mm.m < 2 or mm.n < 2:
+        return rows, [("c1/c3/c6", "require m >= 2 and n >= 2")]
+    for lbl, which in (("c1", ("c1",)), ("c6", ("c6",)),
+                       (f"c3 a={mm.m - 1} b={mm.n - 1}",
+                        ("c3", mm.m - 1, mm.n - 1))):
+        b = bnd.comparison_bound(mm, *which)
+        rows.append((lbl, b.direction, b.value.numerator, b.value.denominator))
+    return rows, []
 
 
-def _ordered(defined):
-    """(value, direction, label, starred) for each defined (label, bound)
-    row, in the order of (exact value, direction, label).  The starred rows
-    hold the best bounds: the greatest lower and the least upper value.
+def _ordered(rows):
+    """((numerator, denominator), direction, label, starred) for each
+    (label, direction, numerator, denominator) row of a reduced value, in
+    the order of (exact value, direction, label).  The starred rows hold
+    the best bounds: the greatest lower and the least upper value.
 
     Each row is keyed by floor(value * 2**64) first, an int that never
-    decreases as the value grows, so int comparisons decide almost every
-    pair; the exact Fraction is compared only where two values agree to
-    2**-64."""
-    keyed = sorted(
-        ((b.value.numerator << 64) // b.value.denominator, b.value,
-         b.direction, lbl)
-        for lbl, b in defined
-    )
+    decreases as the value grows, then by the int pair; only a run of rows
+    whose first keys tie but whose values differ is put in exact order by
+    comparing Fractions."""
+    keyed = []
+    for _, run in groupby(sorted(((num << 64) // den, num, den, direction,
+                                  lbl) for lbl, direction, num, den in rows),
+                          key=itemgetter(0)):
+        run = list(run)
+        if run[0][1:3] != run[-1][1:3]:
+            run.sort(key=lambda row: (Fraction(row[1], row[2]), *row[3:]))
+        keyed.extend(run)
     best = {
-        "lower": next((k[:2] for k in reversed(keyed) if k[2] == "lower"),
+        "lower": next((k[1:3] for k in reversed(keyed) if k[3] == "lower"),
                       None),
-        "upper": next((k[:2] for k in keyed if k[2] == "upper"), None),
+        "upper": next((k[1:3] for k in keyed if k[3] == "upper"), None),
     }
-    return [(value, direction, lbl, (prefix, value) == best[direction])
-            for prefix, value, direction, lbl in keyed]
+    return [((num, den), direction, lbl, (num, den) == best[direction])
+            for _, num, den, direction, lbl in keyed]
 
 
 def cmd_compare(args, out) -> int:
@@ -421,14 +367,14 @@ def cmd_compare(args, out) -> int:
         raise InputError("need 1 <= u <= m and 1 <= v <= n")
     mm = model.moments_from_pmf(pmf)
     exact = oracle.exact_tail(pmf, u, v)
-    rows = _compare_rows(mm, u, v)
+    rows, skips = _compare_rows(mm, u, v)
     lines = [f"target P(S>={u}, T>={v})", f"exact  {fmt(exact)}"]
-    for value, direction, lbl, starred in _ordered(
-        (lbl, b) for lbl, b in rows if b.defined
-    ):
+    for (num, den), direction, lbl, starred in _ordered(rows):
         star = f"  *best {direction}*" if starred else ""
-        lines.append(f"{direction:5s}  {fmt(value):24s}  {lbl}{star}")
-    lines.extend(f"skip   {lbl}: {b.note}" for lbl, b in rows if not b.defined)
+        lines.append(
+            f"{direction:5s}  {fmt_ratio(num, den):24s}  {lbl}{star}"
+        )
+    lines.extend(f"skip   {lbl}: {note}" for lbl, note in skips)
     out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -441,17 +387,12 @@ def cmd_validate(args, out) -> int:
     specs = []
     for i in range(args.trials):
         kind = ("dense_pmf", "sparse_pmf", "event_system")[i % 3]
-        if kind == "event_system":
-            m = rng.randint(1, min(args.mmax, 4))
-            n = rng.randint(1, min(args.nmax, 4))
-            specs.append(
-                oracle.InstanceSpec(rng.randrange(2**63), m, n, kind,
-                                    atoms=rng.randint(1, 16))
-            )
-        else:
-            m = rng.randint(1, args.mmax)
-            n = rng.randint(1, args.nmax)
-            specs.append(oracle.InstanceSpec(rng.randrange(2**63), m, n, kind))
+        es = kind == "event_system"  # at most 4 x 4 events, 1..16 atoms
+        m = rng.randint(1, min(args.mmax, 4) if es else args.mmax)
+        n = rng.randint(1, min(args.nmax, 4) if es else args.nmax)
+        seed = rng.randrange(2**63)
+        atoms = rng.randint(1, 16) if es else None
+        specs.append(oracle.InstanceSpec(seed, m, n, kind, atoms=atoms))
     report = oracle.validate(specs, args.properties)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2), file=out)
@@ -467,8 +408,19 @@ def cmd_validate(args, out) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-FAMILY_CHOICES = ("bonferroni", "frechet", "gumbel", "type", "chung",
-                  "c1", "c3", "c6")
+# --family of `bound`: (function of `bounds`, the flags it takes after the
+# moment grid); a comparison bound also takes the family name.
+BOUND_CALLS = {
+    "bonferroni": ("bonferroni_pair", ("u", "v", "k")),
+    "frechet": ("frechet_lower", ("k", "l")),
+    "gumbel": ("gumbel_upper", ("k", "l")),
+    "type": ("frechet_gumbel_type", ("s", "t", "k", "l")),
+    "chung": ("chung_bound", ("s", "t", "k", "l")),
+    "c1": ("comparison_bound", ()),
+    "c3": ("comparison_bound", ("a", "b")),
+    "c6": ("comparison_bound", ()),
+}
+FAMILY_CHOICES = tuple(BOUND_CALLS)
 
 
 @lru_cache(maxsize=None)
@@ -482,48 +434,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="moment matrix / Bonferroni sums")
-    p.add_argument("--in", dest="infile", required=True)
+    def command(name, func, help, infile=True):
+        p = sub.add_parser(name, help=help)
+        if infile:
+            p.add_argument("--in", dest="infile", required=True)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("moments", cmd_moments, "moment matrix / Bonferroni sums")
     p.add_argument("--kmax", type=int)
     p.add_argument("--lmax", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("invert", help="moments -> pmf or tails")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("invert", cmd_invert, "moments -> pmf or tails")
     p.add_argument("--to", choices=("pmf", "tails"), required=True)
-    p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("bound", help="evaluate one bound")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("bound", cmd_bound, "evaluate one bound")
     p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
     for flag in ("u", "v", "s", "t", "k", "l", "a", "b"):
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--clamp", action="store_true")
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("sweep", help="bound table over (k, l) with shape checks")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--family", choices=("frechet", "gumbel", "chung"),
-                   required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.set_defaults(func=cmd_sweep)
+    sweep = command("sweep", cmd_sweep,
+                    "bound table over (k, l) with shape checks")
+    sweep.add_argument("--family", choices=("frechet", "gumbel", "chung"),
+                       required=True)
+    compare = command("compare", cmd_compare,
+                      "all applicable bounds vs the exact tail")
+    for p in (sweep, compare):
+        p.add_argument("--u", type=int, required=True)
+        p.add_argument("--v", type=int, required=True)
 
-    p = sub.add_parser("compare", help="all applicable bounds vs the exact tail")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("validate", help="randomized exact property suite")
+    p = command("validate", cmd_validate, "randomized exact property suite",
+                infile=False)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mmax", type=int, default=6)
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--properties", nargs="*", default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
 
     return parser
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Sequence, Tuple
 
 from . import _kernel
@@ -37,11 +38,16 @@ class JointPMF:
             raise DomainError("JointPMF requires m >= 1 and n >= 1")
         grid = _freeze_grid(self.p, self.m, self.n, "pmf")
         object.__setattr__(self, "p", grid)
-        if any(x < 0 for row in grid for x in row):
+        # On the integer numerators over the common denominator, which the
+        # kernel keeps for moments_from_pmf.
+        nums, den = _kernel.exact(self, grid)
+        if any(x < 0 for row in nums for x in row):
             raise DomainError("pmf entries must be nonnegative")
-        total = sum(x for row in grid for x in row)
-        if total != 1:
-            raise DomainError(f"pmf must sum to 1 exactly, got {total}")
+        total = sum(map(sum, nums))
+        if total != den:
+            raise DomainError(
+                f"pmf must sum to 1 exactly, got {Fraction(total, den)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,16 +106,31 @@ def moments_from_pmf(pmf: JointPMF) -> MomentMatrix:
     )
 
 
+# Most (subset pair, atom) checks `bonferroni_sums` will make, about one
+# second of CPython 3.11 on one core.  The oracle's event systems (m, n <= 4,
+# at most 16 atoms) need at most 2**4 * 2**4 * 16 = 4096.
+SUBSET_CHECK_LIMIT = 1_000_000
+
+
 def bonferroni_sums(es: EventSystem, kmax: int, lmax: int) -> MomentMatrix:
     """Bonferroni sums over all (k, l)-fold intersections of the two event
     families, by direct subset enumeration over atoms.
 
     Entry (k, 0) and (0, l) are the univariate sums; entry (0, 0) = 1.
     Deliberately independent of the counting-pmf route so the two can be
-    cross-checked.
+    cross-checked.  Its cost is exponential in m and n, so it refuses to
+    make more than SUBSET_CHECK_LIMIT (subset pair, atom) checks.
     """
     if not (0 <= kmax <= es.m and 0 <= lmax <= es.n):
         raise DomainError("need 0 <= kmax <= m and 0 <= lmax <= n")
+    checks = (sum(comb(es.m, k) for k in range(kmax + 1))
+              * sum(comb(es.n, l) for l in range(lmax + 1)) * len(es.atoms))
+    if checks > SUBSET_CHECK_LIMIT:
+        raise DomainError(
+            f"Bonferroni sums by subset enumeration need {checks} "
+            f"(subset pair, atom) checks, over the limit of "
+            f"{SUBSET_CHECK_LIMIT}; lower kmax/lmax"
+        )
     grid = []
     for k in range(kmax + 1):
         row = []

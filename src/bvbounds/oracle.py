@@ -86,7 +86,6 @@ class ValidationReport:
         return {
             "trials": self.trials,
             "failures": [f.to_dict() for f in self.failures],
-            "elapsed_seconds": self.elapsed,
         }
 
 

@@ -127,6 +127,16 @@ def pgf_identity_holds(
     )
 
 
+def complementary_part(mm: MomentMatrix) -> Tuple[_kernel.IntGrid, int]:
+    """(numerators of A . s . B^T, common denominator), the moment part of
+    every complementary moment (see `complementary_moment`), computed once
+    per grid."""
+    return _kernel.product(
+        mm, mm.s, "complementary",
+        _kernel.complement_map(mm.m), _kernel.complement_map(mm.n),
+    )
+
+
 def complementary_moment(mm: MomentMatrix, k: int, l: int) -> Fraction:
     """The complementary moment
 
@@ -135,13 +145,8 @@ def complementary_moment(mm: MomentMatrix, k: int, l: int) -> Fraction:
     expressed as a linear combination of the moment grid:
 
         Sbar[k][l] = C(m,k) C(n,l) - (A . s . B^T)[k][l],
-        A[k][i] = (-1)^i C(m-i, k-i) for 1 <= i <= k, B likewise in n,
-
-    computed for every (k, l) on the first call for a grid."""
+        A[k][i] = (-1)^i C(m-i, k-i) for 1 <= i <= k, B likewise in n."""
     _check_range("k", k, 1, mm.m)
     _check_range("l", l, 1, mm.n)
-    part, den = _kernel.product(
-        mm, mm.s, "complementary",
-        _kernel.complement_map(mm.m), _kernel.complement_map(mm.n),
-    )
+    part, den = complementary_part(mm)
     return Fraction(comb(mm.m, k) * comb(mm.n, l) * den - part[k][l], den)

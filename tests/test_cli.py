@@ -190,8 +190,32 @@ class TestValidate:
         assert doc["trials"] == 6
         assert doc["failures"] == []
 
+    def test_json_stdout_is_byte_stable(self, capsys):
+        argv = ["validate", "--trials", "9", "--seed", "4", "--mmax", "3",
+                "--nmax", "3", "--json"]
+        first = run(argv, capsys)
+        assert first[0] == 0
+        assert run(argv, capsys) == first
+        assert set(json.loads(first[1])) == {"trials", "failures"}
+
 
 class TestErrors:
+    def test_subset_enumeration_limit(self, tmp_path, capsys):
+        # 2**10 * 2**10 subset pairs times 2 atoms = 2097152 checks.
+        path = tmp_path / "big.csv"
+        header = (["weight"] + [f"A{i}" for i in range(1, 11)]
+                  + [f"B{j}" for j in range(1, 11)])
+        path.write_text(",".join(header) + "\n"
+                        + "1/2" + ",1" * 20 + "\n" + "1/2" + ",0" * 20 + "\n")
+        status, out, err = run(["moments", "--in", str(path)], capsys)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ")
+        assert "2097152" in err and "1000000" in err
+        # With kmax = lmax = 3 the same file needs 176**2 * 2 = 61952.
+        status, out, _ = run(["moments", "--in", str(path), "--kmax", "3",
+                              "--lmax", "3"], capsys)
+        assert status == 0 and "OK" in out
+
     def test_bad_pmf_sum(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"m": 1, "n": 1,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bvbounds.bounds import BoundValue
-from bvbounds.cli import _ordered
+from bvbounds.cli import _ordered as _ordered_pairs
 
 TINY = Fraction(1, 2**80)
 
@@ -33,6 +33,15 @@ def compare_rows(draw):
     ))
     return [(lbl, BoundValue(value, direction, "test"))
             for lbl, value, direction in rows]
+
+
+def _ordered(rows):
+    """`cli._ordered` on (label, bound) rows, its (numerator, denominator)
+    pairs read back as Fractions."""
+    pairs = _ordered_pairs([(lbl, b.direction, b.value.numerator,
+                             b.value.denominator) for lbl, b in rows])
+    return [(Fraction(*pair), direction, lbl, starred)
+            for pair, direction, lbl, starred in pairs]
 
 
 def check_ordered(rows):

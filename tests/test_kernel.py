@@ -197,6 +197,12 @@ def test_results_are_cached_per_instance_without_changing_equality():
      "compare12_u1_v1.txt"),
     (["compare", "--in", "pmf12.json", "--u", "2", "--v", "3"],
      "compare12_u2_v3.txt"),
+    (["compare", "--in", "pmf12.json", "--u", "12", "--v", "12"],
+     "compare12_u12_v12.txt"),
+    (["compare", "--in", "pmf1.json", "--u", "1", "--v", "1"],
+     "compare1_u1_v1.txt"),
+    (["compare", "--in", "pmf1.json", "--u", "1", "--v", "3"],
+     "compare1_u1_v3.txt"),
 ])
 def test_cli_output_matches_golden(argv, golden, capsys):
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]

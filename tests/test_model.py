@@ -15,6 +15,7 @@ from bvbounds import (
     moments_from_pmf,
     random_instance,
 )
+from bvbounds.model import SUBSET_CHECK_LIMIT
 
 half = Fraction(1, 2)
 
@@ -73,6 +74,21 @@ class TestBonferroniSums:
         es = EventSystem(1, 1, ((Fraction(1), (1,), (1,)),))
         with pytest.raises(DomainError):
             bonferroni_sums(es, 2, 1)
+
+    def test_size_limit(self):
+        # 2**10 * 2**10 subset pairs over 1 atom: 1048576 checks.
+        es = EventSystem(10, 10, ((Fraction(1), (1,) * 10, (0,) * 10),))
+        with pytest.raises(DomainError, match=r"need 1048576 \(subset pair, "
+                           r"atom\) checks, over the limit of 1000000"):
+            bonferroni_sums(es, 10, 10)
+        assert bonferroni_sums(es, 3, 3).s[3][0] == 120  # C(10, 3)
+
+    def test_oracle_event_systems_are_well_under_the_limit(self):
+        # The largest system the oracle draws: m = n = 4, 16 atoms.
+        es = random_instance(InstanceSpec(3, 4, 4, "event_system", atoms=16))
+        mm = moments_from_pmf(counting_pmf(es))
+        assert bonferroni_sums(es, 4, 4).s == mm.s
+        assert 2**4 * 2**4 * 16 * 100 <= SUBSET_CHECK_LIMIT
 
 
 class TestCountingPMF:
