@@ -6,6 +6,8 @@ Input formats:
   * moment JSON: {"m": int, "n": int, "s": [[rational-string]]}; the grid
     must be feasible: s[0][0] = 1 and the pmf it inverts to nonnegative.
   * event CSV: header exactly "weight,A1..Am,B1..Bn", one atom per row.
+m and n may be at most DIMENSION_LIMIT, and a decimal exponent at most
+EXPONENT_LIMIT in absolute value.
 
 Exit status: 0 success, 1 usage/parse error, 2 property violation found by
 `validate` or `sweep`.
@@ -17,6 +19,7 @@ import argparse
 import csv
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -41,17 +44,48 @@ class InputError(Exception):
     """A problem with an input file, carrying a location hint."""
 
 
+# Times below: one run each, 2-core x86-64 host, CPython 3.11.
+# Largest decimal exponent, in absolute value, that parse_rational accepts:
+# `Fraction` builds 10**exponent, so "1e-99999999" would take minutes.  At
+# m = n = 24, `compare` on a pmf whose cells all have exponent -1000 (one
+# with a 1000-digit mantissa) takes 0.4 s instead of 0.2 s.  Digit runs are
+# bounded by CPython's limit of 4300 digits on int().
+EXPONENT_LIMIT = 1000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+# Largest m or n of an input: `compare` at m = n = 128 takes about 3 s and
+# 140 MB, and its cost grows about as m**3.
+DIMENSION_LIMIT = 128
+
+
 def parse_rational(text: str, where: str) -> Fraction:
+    core = text.strip()
+    if "e" in core or "E" in core:
+        match = _EXPONENT.search(core)
+        # int() raises beyond 4300 digits, far over the limit anyway
+        if match and (len(match[1]) > 4300
+                      or abs(int(match[1])) > EXPONENT_LIMIT):
+            raise InputError(
+                f"{where}: the decimal exponent of {core[:40]!r} exceeds "
+                f"the limit of {EXPONENT_LIMIT} in absolute value"
+            )
     try:
-        return Fraction(text.strip())
+        return Fraction(core)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{where}: cannot parse rational {text!r}: {exc}")
+
+
+def _check_dimension(value: int, what: str) -> None:
+    if value > DIMENSION_LIMIT:
+        raise InputError(
+            f"{what} is {value}, above the limit of {DIMENSION_LIMIT}"
+        )
 
 
 def _dimension(doc: dict, key: str, path: str) -> int:
     value = doc[key]
     if type(value) is not int or value < 1:
         raise InputError(f"{path}: {key!r} must be an integer >= 1, got {value!r}")
+    _check_dimension(value, f"{path}: {key!r}")
     return value
 
 
@@ -93,6 +127,8 @@ def load_events_csv(path: str) -> EventSystem:
             f"{path}: line 1: header must be weight,A1..Am,B1..Bn "
             f"with m, n >= 1, got {','.join(header)!r}"
         )
+    _check_dimension(m, f"{path}: line 1: m")
+    _check_dimension(n, f"{path}: line 1: n")
     atoms = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:

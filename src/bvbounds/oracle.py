@@ -4,6 +4,15 @@ Everything here works directly on pmfs and event systems by exact
 summation, never through the moment machinery, so a disagreement between
 this module and the transform/bound formulas is a genuine bug on the
 formula side.
+
+The tail table comes from two-dimensional suffix sums of the pmf,
+q[u][v] = p[u][v] + q[u+1][v] + q[u][v+1] - q[u+1][v+1], in O(mn);
+`exact_tail` keeps the literal sum over the orthant for a single target.
+
+Each trial of `validate` builds one context (`_Trial`) that every property
+reads: the pmf, its moment grid from `model.moments_from_pmf` and its tail
+table, the last two built on first use.  The context lives for one trial
+only, so nothing is cached across instances.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -74,9 +84,13 @@ class Failure:
 
 @dataclass
 class ValidationReport:
+    """Trials run, exact violations found and, for each selected property
+    id, the checks it made (`to_dict` leaves the counts out)."""
+
     trials: int = 0
     failures: List[Failure] = field(default_factory=list)
     elapsed: float = 0.0
+    checks: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -140,38 +154,63 @@ def exact_tail(pmf: JointPMF, u: int, v: int) -> Fraction:
 
 
 def tail_table_from_pmf(pmf: JointPMF) -> TailTable:
-    """Full tail grid by suffix summation; independent of the moment route."""
-    q = [
-        [exact_tail(pmf, u, v) for v in range(pmf.n + 1)]
-        for u in range(pmf.m + 1)
-    ]
-    return TailTable(pmf.m, pmf.n, q)
+    """Full tail grid by two-dimensional suffix sums; independent of the
+    moment route."""
+    m, n = pmf.m, pmf.n
+    q = [[Fraction(0)] * (n + 2) for _ in range(m + 2)]
+    for u in range(m, -1, -1):
+        for v in range(n, -1, -1):
+            q[u][v] = (pmf.p[u][v] + q[u + 1][v] + q[u][v + 1]
+                       - q[u + 1][v + 1])
+    return TailTable(m, n, [row[:n + 1] for row in q[:m + 1]])
 
 
 # ---------------------------------------------------------------------------
 # property suite
 
 
+class _Trial:
+    """One trial's instance and the exact data its properties share: the
+    pmf (for an event system, its counting pmf), and the moment grid and
+    tail table of that pmf, each built on first use."""
+
+    def __init__(self, instance: Union[JointPMF, EventSystem]):
+        is_es = isinstance(instance, EventSystem)
+        self.es = instance if is_es else None
+        self.pmf = model.counting_pmf(instance) if is_es else instance
+
+    @cached_property
+    def mm(self) -> model.MomentMatrix:
+        return model.moments_from_pmf(self.pmf)
+
+    @cached_property
+    def tt(self) -> TailTable:
+        return tail_table_from_pmf(self.pmf)
+
+
 class _Recorder:
     def __init__(self, spec: InstanceSpec, report: ValidationReport):
         self.spec = spec
         self.report = report
+        self.checks = 0
 
     def check(self, prop: str, params: Dict[str, int], lhs, rhs) -> None:
+        self.checks += 1
         if lhs != rhs:
             self.report.failures.append(
                 Failure(self.spec, prop, params, Fraction(lhs), Fraction(rhs))
             )
 
     def check_le(self, prop: str, params: Dict[str, int], lhs, rhs) -> None:
+        self.checks += 1
         if lhs > rhs:
             self.report.failures.append(
                 Failure(self.spec, prop, params, Fraction(lhs), Fraction(rhs))
             )
 
 
-def _prop_theorem1_roundtrip(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
+def _prop_theorem1_roundtrip(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
     for u in range(pmf.m + 1):
         for v in range(pmf.n + 1):
             rec.check(
@@ -182,9 +221,8 @@ def _prop_theorem1_roundtrip(pmf: JointPMF, rec: _Recorder) -> None:
             )
 
 
-def _prop_theorem2_roundtrip(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
-    tt = tail_table_from_pmf(pmf)
+def _prop_theorem2_roundtrip(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm, tt = trial.pmf, trial.mm, trial.tt
     for u in range(pmf.m + 1):
         for v in range(pmf.n + 1):
             rec.check(
@@ -203,8 +241,8 @@ def _prop_theorem2_roundtrip(pmf: JointPMF, rec: _Recorder) -> None:
             )
 
 
-def _prop_pgf_identity(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
+def _prop_pgf_identity(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
     grid = [Fraction(-1), Fraction(1, 2), Fraction(2)]
     for t in grid:
         for s in grid:
@@ -217,7 +255,8 @@ def _prop_pgf_identity(pmf: JointPMF, rec: _Recorder) -> None:
             )
 
 
-def _prop_event_roundtrip(pmf: JointPMF, rec: _Recorder) -> None:
+def _prop_event_roundtrip(trial: _Trial, rec: _Recorder) -> None:
+    pmf = trial.pmf
     back = model.counting_pmf(model.event_system_from_pmf(pmf))
     for u in range(pmf.m + 1):
         for v in range(pmf.n + 1):
@@ -226,8 +265,8 @@ def _prop_event_roundtrip(pmf: JointPMF, rec: _Recorder) -> None:
             )
 
 
-def _prop_moment_bounds(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
+def _prop_moment_bounds(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
     rec.check("moment_bounds", {"i": 0, "j": 0}, mm.s[0][0], Fraction(1))
     for i in range(pmf.m + 1):
         for j in range(pmf.n + 1):
@@ -240,10 +279,10 @@ def _prop_moment_bounds(pmf: JointPMF, rec: _Recorder) -> None:
             )
 
 
-def _prop_complementary_expansion(pmf: JointPMF, rec: _Recorder) -> None:
+def _prop_complementary_expansion(trial: _Trial, rec: _Recorder) -> None:
     # linear-in-moments form of the complementary moments vs direct
     # expectations over the pmf, bivariate and univariate
-    mm = model.moments_from_pmf(pmf)
+    pmf, mm = trial.pmf, trial.mm
     m, n = pmf.m, pmf.n
     cells = [
         (u, v, pmf.p[u][v])
@@ -251,20 +290,22 @@ def _prop_complementary_expansion(pmf: JointPMF, rec: _Recorder) -> None:
         for v in range(n + 1)
         if pmf.p[u][v]
     ]
+    # E C(m-S, k) and E C(n-T, l)
+    e_a = [sum(binom(m - u, k) * p for u, _, p in cells)
+           for k in range(m + 1)]
+    e_b = [sum(binom(n - v, l) * p for _, v, p in cells)
+           for l in range(n + 1)]
     for l in range(n + 1):
-        direct = sum(binom(n - v, l) * p for _, v, p in cells)
         linear = sum(
             (-1) ** r * binom(n - r, l - r) * mm.s[0][r] for r in range(l + 1)
         )
-        rec.check("complementary_univariate", {"l": l}, linear, direct)
+        rec.check("complementary_univariate", {"l": l}, linear, e_b[l])
     for k in range(1, m + 1):
         for l in range(1, n + 1):
-            e_a = sum(binom(m - u, k) * p for u, _, p in cells)
-            e_b = sum(binom(n - v, l) * p for _, v, p in cells)
             e_ab = sum(
                 binom(m - u, k) * binom(n - v, l) * p for u, v, p in cells
             )
-            direct = binom(m, k) * e_b + binom(n, l) * e_a - e_ab
+            direct = binom(m, k) * e_b[l] + binom(n, l) * e_a[k] - e_ab
             rec.check(
                 "complementary_bivariate",
                 {"k": k, "l": l},
@@ -273,9 +314,9 @@ def _prop_complementary_expansion(pmf: JointPMF, rec: _Recorder) -> None:
             )
 
 
-def _prop_gumbel_identity(es: EventSystem, rec: _Recorder) -> None:
+def _prop_gumbel_identity(trial: _Trial, rec: _Recorder) -> None:
+    es, mm = trial.es, trial.mm
     sums = model.bonferroni_sums(es, es.m, es.n)
-    mm = model.moments_from_pmf(model.counting_pmf(es))
     for k in range(es.m + 1):
         for l in range(es.n + 1):
             rec.check(
@@ -283,11 +324,11 @@ def _prop_gumbel_identity(es: EventSystem, rec: _Recorder) -> None:
             )
 
 
-def _prop_sandwich_bonferroni(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
+def _prop_sandwich_bonferroni(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
     for u in range(1, pmf.m + 1):
         for v in range(1, pmf.n + 1):
-            tail = exact_tail(pmf, u, v)
+            tail = trial.tt.q[u][v]
             kmax = (pmf.m + pmf.n - u - v) // 2 + 1
             for k in range(kmax + 1):
                 lo, up = bnd.bonferroni_pair(mm, u, v, k)
@@ -296,9 +337,9 @@ def _prop_sandwich_bonferroni(pmf: JointPMF, rec: _Recorder) -> None:
                 rec.check_le("sandwich_bonferroni_upper", p, tail, up.value)
 
 
-def _prop_sandwich_frechet_gumbel(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
-    tail = exact_tail(pmf, 1, 1)
+def _prop_sandwich_frechet_gumbel(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
+    tail = trial.tt.q[1][1]
     for k in range(1, pmf.m + 1):
         for l in range(1, pmf.n + 1):
             p = {"k": k, "l": l}
@@ -310,11 +351,11 @@ def _prop_sandwich_frechet_gumbel(pmf: JointPMF, rec: _Recorder) -> None:
             )
 
 
-def _prop_sandwich_type(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
+def _prop_sandwich_type(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
     for s in range(1, pmf.m + 1):
         for t in range(1, pmf.n + 1):
-            tail = exact_tail(pmf, s, t)
+            tail = trial.tt.q[s][t]
             for k in range(1, pmf.m + 1):
                 for l in range(1, pmf.n + 1):
                     lo, up = bnd.frechet_gumbel_type(mm, s, t, k, l)
@@ -325,11 +366,11 @@ def _prop_sandwich_type(pmf: JointPMF, rec: _Recorder) -> None:
                         rec.check_le("sandwich_gumbel_type", p, tail, up.value)
 
 
-def _prop_sandwich_chung(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
+def _prop_sandwich_chung(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
     for s in range(1, pmf.m + 1):
         for t in range(1, pmf.n + 1):
-            tail = exact_tail(pmf, s, t)
+            tail = trial.tt.q[s][t]
             for k in range(s, pmf.m + 1):
                 for l in range(t, pmf.n + 1):
                     a = bnd.chung_bound(mm, s, t, k, l)
@@ -341,11 +382,12 @@ def _prop_sandwich_chung(pmf: JointPMF, rec: _Recorder) -> None:
                     )
 
 
-def _prop_sandwich_comparison(pmf: JointPMF, rec: _Recorder) -> None:
+def _prop_sandwich_comparison(trial: _Trial, rec: _Recorder) -> None:
+    pmf = trial.pmf
     if pmf.m < 2 or pmf.n < 2:
         return
-    mm = model.moments_from_pmf(pmf)
-    tail = exact_tail(pmf, 1, 1)
+    mm = trial.mm
+    tail = trial.tt.q[1][1]
     rec.check_le(
         "sandwich_c1", {}, tail, bnd.comparison_bound(mm, "c1").value
     )
@@ -360,8 +402,8 @@ def _prop_sandwich_comparison(pmf: JointPMF, rec: _Recorder) -> None:
             rec.check_le("sandwich_c3", {"a": a, "b": b}, val, tail)
 
 
-def _prop_frechet_shape(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
+def _prop_frechet_shape(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
     f = [
         [bnd.frechet_lower(mm, k, l).value for l in range(1, pmf.n + 1)]
         for k in range(1, pmf.m + 1)
@@ -389,8 +431,8 @@ def _prop_frechet_shape(pmf: JointPMF, rec: _Recorder) -> None:
                 )
 
 
-def _prop_gumbel_shape(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
+def _prop_gumbel_shape(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
     g = [
         [bnd.gumbel_upper(mm, k, l).value for l in range(1, pmf.n + 1)]
         for k in range(1, pmf.m + 1)
@@ -418,8 +460,8 @@ def _prop_gumbel_shape(pmf: JointPMF, rec: _Recorder) -> None:
                 )
 
 
-def _prop_chung_shape(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
+def _prop_chung_shape(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
     m, n = pmf.m, pmf.n
     for s in range(1, m + 1):
         for t in range(1, n + 1):
@@ -458,14 +500,14 @@ def _prop_chung_shape(pmf: JointPMF, rec: _Recorder) -> None:
                     )
 
 
-def _prop_anchors(pmf: JointPMF, rec: _Recorder) -> None:
-    mm = model.moments_from_pmf(pmf)
+def _prop_anchors(trial: _Trial, rec: _Recorder) -> None:
+    pmf, mm = trial.pmf, trial.mm
     m, n = pmf.m, pmf.n
     rec.check(
         "anchor_frechet_full",
         {"k": m, "l": n},
         bnd.frechet_lower(mm, m, n).value,
-        exact_tail(pmf, 1, 1),
+        trial.tt.q[1][1],
     )
     rec.check(
         "anchor_gumbel_11",
@@ -475,7 +517,7 @@ def _prop_anchors(pmf: JointPMF, rec: _Recorder) -> None:
     )
     for s in range(1, m + 1):
         for t in range(1, n + 1):
-            tail = exact_tail(pmf, s, t)
+            tail = trial.tt.q[s][t]
             rec.check(
                 "anchor_chung_full",
                 {"s": s, "t": t},
@@ -497,7 +539,7 @@ def _prop_anchors(pmf: JointPMF, rec: _Recorder) -> None:
         )
 
 
-_PMF_PROPERTIES: Dict[str, Callable[[JointPMF, _Recorder], None]] = {
+_PMF_PROPERTIES: Dict[str, Callable[[_Trial, _Recorder], None]] = {
     "theorem1_roundtrip": _prop_theorem1_roundtrip,
     "theorem2_roundtrip": _prop_theorem2_roundtrip,
     "pgf_identity": _prop_pgf_identity,
@@ -515,7 +557,8 @@ _PMF_PROPERTIES: Dict[str, Callable[[JointPMF, _Recorder], None]] = {
     "anchors": _prop_anchors,
 }
 
-_ES_PROPERTIES: Dict[str, Callable[[EventSystem, _Recorder], None]] = {
+# Properties that need the event system itself, run before the pmf ones.
+_ES_PROPERTIES: Dict[str, Callable[[_Trial, _Recorder], None]] = {
     "gumbel_identity": _prop_gumbel_identity,
 }
 
@@ -532,21 +575,18 @@ def validate(
     for prop in selected:
         if prop not in _PMF_PROPERTIES and prop not in _ES_PROPERTIES:
             raise DomainError(f"unknown property id {prop!r}")
-    report = ValidationReport()
+    es_run = [(p, _ES_PROPERTIES[p]) for p in selected if p in _ES_PROPERTIES]
+    pmf_run = [(p, _PMF_PROPERTIES[p]) for p in selected
+               if p in _PMF_PROPERTIES]
+    report = ValidationReport(checks=dict.fromkeys(selected, 0))
     start = time.perf_counter()
     for spec in specs:
-        instance = random_instance(spec)
+        trial = _Trial(random_instance(spec))
         rec = _Recorder(spec, report)
         report.trials += 1
-        if isinstance(instance, EventSystem):
-            for prop in selected:
-                if prop in _ES_PROPERTIES:
-                    _ES_PROPERTIES[prop](instance, rec)
-            pmf = model.counting_pmf(instance)
-        else:
-            pmf = instance
-        for prop in selected:
-            if prop in _PMF_PROPERTIES:
-                _PMF_PROPERTIES[prop](pmf, rec)
+        for prop, run in (es_run if trial.es is not None else []) + pmf_run:
+            rec.checks = 0
+            run(trial, rec)
+            report.checks[prop] += rec.checks
     report.elapsed = time.perf_counter() - start
     return report

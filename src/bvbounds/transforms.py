@@ -97,24 +97,31 @@ def moments_from_tails(tt: TailTable, i: int, j: int) -> Fraction:
     return _kernel.mapped(tt, tt.q, _kernel.tails_inverse_map)[i][j]
 
 
+def _poly_eval(obj, grid: Grid, t: Rational, s: Rational) -> Fraction:
+    """sum_{u,v} grid[u][v] t^u s^v (0^0 = 1) on integers: with t = a/b and
+    s = c/d, the grid's numerators over their common denominator D are
+    weighted by a^u b^(m-u) and c^v d^(n-v), and the sum is over
+    D b^m d^n."""
+    t, s = Fraction(t), Fraction(s)
+    a, b, c, d = t.numerator, t.denominator, s.numerator, s.denominator
+    m, n = obj.m, obj.n
+    nums, den = _kernel.exact(obj, grid)
+    [[total]] = _kernel.apply(
+        (tuple(a**u * b**(m - u) for u in range(m + 1)),),
+        nums,
+        (tuple(c**v * d**(n - v) for v in range(n + 1)),),
+    )
+    return Fraction(total, den * b**m * d**n)
+
+
 def pgf_eval(pmf: JointPMF, t: Rational, s: Rational) -> Fraction:
     """Ordinary bivariate probability generating function at (t, s)."""
-    t, s = Fraction(t), Fraction(s)
-    return Fraction(sum(
-        pmf.p[u][v] * t**u * s**v
-        for u in range(pmf.m + 1)
-        for v in range(pmf.n + 1)
-    ))
+    return _poly_eval(pmf, pmf.p, t, s)
 
 
 def moment_poly_eval(mm: MomentMatrix, t: Rational, s: Rational) -> Fraction:
     """The moment polynomial sum_{i,j} s[i][j] t^i s^j."""
-    t, s = Fraction(t), Fraction(s)
-    return Fraction(sum(
-        mm.s[i][j] * t**i * s**j
-        for i in range(mm.m + 1)
-        for j in range(mm.n + 1)
-    ))
+    return _poly_eval(mm, mm.s, t, s)
 
 
 def pgf_identity_holds(

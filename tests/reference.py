@@ -170,3 +170,21 @@ def chung_bound(mm, s, t, k, l):
                 * mm.s[i][j]
             )
     return num / (binom(mm.m - s, k - s) * binom(mm.n - t, l - t))
+
+
+def pgf_eval(pmf, t, s):
+    t, s = Fraction(t), Fraction(s)
+    return Fraction(sum(
+        pmf.p[u][v] * t**u * s**v
+        for u in range(pmf.m + 1)
+        for v in range(pmf.n + 1)
+    ))
+
+
+def moment_poly_eval(mm, t, s):
+    t, s = Fraction(t), Fraction(s)
+    return Fraction(sum(
+        mm.s[i][j] * t**i * s**j
+        for i in range(mm.m + 1)
+        for j in range(mm.n + 1)
+    ))

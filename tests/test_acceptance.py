@@ -33,15 +33,23 @@ def _specs(count, mmax, nmax, kind="dense_pmf", atoms=None, salt=0):
     return out
 
 
+def _checked_all(report):
+    """Whether every selected property made at least one check."""
+    return bool(report.checks) and min(report.checks.values()) >= 1
+
+
 def _report(tag, report, budget=None):
-    ok = report.ok and (budget is None or report.elapsed < budget)
+    ok = (report.ok and _checked_all(report)
+          and (budget is None or report.elapsed < budget))
     line = f"{'PASS' if ok else 'FAIL'} {tag}: trials={report.trials} " \
-           f"failures={len(report.failures)} elapsed={report.elapsed:.1f}s"
+           f"failures={len(report.failures)} checks={report.checks} " \
+           f"elapsed={report.elapsed:.1f}s"
     print(line)
     for f in report.failures[:10]:
         print(f"    {f.property_id} {f.params} lhs={f.lhs} rhs={f.rhs} "
               f"spec={f.spec.to_dict()}")
     assert report.ok, f"{tag}: exact property violations recorded"
+    assert _checked_all(report), f"{tag}: a property made no check"
     if budget is not None:
         assert report.elapsed < budget, f"{tag}: exceeded {budget}s budget"
 
@@ -114,11 +122,14 @@ def test_criterion_6_identity_suite():
     # linear expansions of the complementary moments, all (k, l), m, n <= 12
     report = validate(_specs(30, 12, 12, salt=6), ["complementary_expansion"])
     elapsed = time.perf_counter() - start
-    ok = failures == 0 and report.ok and elapsed < 10.0
+    ok = (failures == 0 and report.ok and _checked_all(report)
+          and elapsed < 10.0)
     print(f"{'PASS' if ok else 'FAIL'} criterion 6 (identity suite, "
-          f"exhaustive to 12): failures={failures} elapsed={elapsed:.1f}s")
+          f"exhaustive to 12): failures={failures} checks={report.checks} "
+          f"elapsed={elapsed:.1f}s")
     assert failures == 0
     assert report.ok
+    assert _checked_all(report)
     assert elapsed < 10.0
 
 

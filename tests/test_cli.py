@@ -256,6 +256,57 @@ class TestErrors:
         assert status == 1 and out == ""
         assert err.startswith(f"error: {path}: {key!r} must be an integer")
 
+    @pytest.mark.parametrize("cell", [
+        # cheap ones first: without the limit the third takes minutes
+        "1E+1001", "-2.5e-1_001", "1e-99999999", "1e" + "9" * 5000,
+    ])
+    def test_decimal_exponent_limit(self, tmp_path, capsys, cell):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"m": 1, "n": 1, "p": [["1/2", "0"], ["1/2", cell]]}))
+        status, out, err = run(["compare", "--in", str(path), "--u", "1",
+                                "--v", "1"], capsys)
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {path} row 1 col 1: the decimal "
+                              "exponent of ")
+        assert "exceeds the limit of 1000 in absolute value" in err
+
+    def test_decimal_exponents_within_the_limit(self, tmp_path, capsys):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps({"m": 1, "n": 1, "p": [
+            ["2.5e-1", "25E-2"], [" 0.0025e2 ", "25" + "0" * 998 + "e-1000"],
+        ]}))
+        status, out, _ = run(["invert", "--in", str(path), "--to", "pmf"],
+                             capsys)
+        assert status == 0
+        assert json.loads(out)["p"] == [["1/4", "1/4"], ["1/4", "1/4"]]
+
+    @pytest.mark.parametrize("key", ["m", "n"])
+    def test_dimension_limit(self, tmp_path, capsys, key):
+        def compare(size):
+            doc = {"m": 1, "n": 1, key: size}
+            doc["p"] = [["0"] * (doc["n"] + 1) for _ in range(doc["m"] + 1)]
+            doc["p"][0][0] = "1"
+            path = tmp_path / f"{size}.json"
+            path.write_text(json.dumps(doc))
+            return path, run(["compare", "--in", str(path), "--u", "1",
+                              "--v", "1"], capsys)
+
+        assert compare(128)[1][0] == 0
+        path, (status, out, err) = compare(129)
+        assert status == 1 and out == ""
+        assert err == (f"error: {path}: {key!r} is 129, above the limit "
+                       "of 128\n")
+
+    def test_event_csv_dimension_limit(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(["weight", "A1"]
+                                 + [f"B{j}" for j in range(1, 130)]) + "\n")
+        status, _, err = run(["moments", "--in", str(path)], capsys)
+        assert status == 1
+        assert err == (f"error: {path}: line 1: n is 129, above the limit "
+                       "of 128\n")
+
     def test_top_level_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2]")

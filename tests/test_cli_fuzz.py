@@ -70,12 +70,16 @@ def well_formed_files(draw):
     return "\n".join(lines).encode(), ".csv"
 
 
-# Rational-looking and broken cell texts; no exponents, whose parse cost
-# grows with their value.
+# Rational-looking and broken cell texts, with decimal exponents of any
+# size: those beyond the parser's limit must end in exit 1, not in a
+# 10**exponent integer.
 cells = st.one_of(
     st.sampled_from(["0", "1", "1/2", "-1/3", "0.25", "1/0", "x", "", " 1 ",
-                     "2", "1//2", "nan"]),
-    st.text(alphabet="0123456789/-. ", max_size=6),
+                     "2", "1//2", "nan", "2.5e-1", "1e-99999999", "1E1001",
+                     "1e" + "9" * 5000, "1_0e-1_0", "1e", "e5", "1/2e3"]),
+    st.text(alphabet="0123456789/-.eE_ ", max_size=6),
+    st.builds("{}e{}".format, st.sampled_from(["1", "-2.5", ".5", "7/2"]),
+              st.integers(-10**9, 10**9)),
 )
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 6),

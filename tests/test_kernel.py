@@ -24,11 +24,13 @@ from bvbounds import (
     gumbel_upper,
     moments_from_pmf,
     moments_from_tails,
+    pgf_eval,
     pmf_from_moments,
     tail_table_from_moments,
     tails_from_moments,
 )
 from bvbounds.cli import main
+from bvbounds.transforms import moment_poly_eval
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(bvbounds.__file__).parent
@@ -156,6 +158,20 @@ def test_bonferroni(mm):
                 assert outcome(bonferroni_pair, mm, u, v, k) == outcome(
                     ref.bonferroni_pair, mm, u, v, k
                 )
+
+
+# Evaluation points as int, Fraction or str, zero and negatives included.
+point_values = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+points = st.one_of(st.integers(-3, 3), point_values, point_values.map(str))
+
+
+@kernel_settings
+@given(pmfs(), moment_matrices(), points, points)
+def test_pgf_and_moment_polynomial(pmf, mm, t, s):
+    for value, want in ((pgf_eval(pmf, t, s), ref.pgf_eval(pmf, t, s)),
+                        (moment_poly_eval(mm, t, s),
+                         ref.moment_poly_eval(mm, t, s))):
+        assert type(value) is Fraction and value == want
 
 
 def test_type_zero_denominator_is_undefined():

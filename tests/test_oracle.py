@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from bvbounds import (
     validate,
 )
 from bvbounds.oracle import ALL_PROPERTIES
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestInstanceSpec:
@@ -62,6 +66,18 @@ class TestExactTail:
         for u in range(3):
             for v in range(3):
                 assert tt.q[u][v] == exact_tail(e2, u, v)
+
+    @pytest.mark.parametrize("kind", ["dense_pmf", "sparse_pmf"])
+    def test_suffix_sums_match_exact_tail(self, kind):
+        # the suffix-sum table against the literal sum of each cell
+        for seed, (m, n) in enumerate([(1, 1), (1, 5), (4, 1), (3, 6),
+                                       (6, 6), (7, 2)]):
+            pmf = random_instance(InstanceSpec(seed, m, n, kind))
+            tt = tail_table_from_pmf(pmf)
+            assert (tt.m, tt.n) == (m, n)
+            for u in range(m + 1):
+                for v in range(n + 1):
+                    assert tt.q[u][v] == exact_tail(pmf, u, v)
 
 
 class TestValidate:
@@ -119,6 +135,65 @@ class TestValidate:
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["failures"][0]["spec"]["seed"] == 0
         assert "lhs" in doc["failures"][0]
+
+    def test_checks_counted_per_selected_property(self):
+        report = validate([InstanceSpec(0, 1, 3), InstanceSpec(1, 2, 2)],
+                          ["sandwich_comparison", "pgf_identity",
+                           "gumbel_identity"])
+        # c1, c6 and c3 at a, b in {1, 2}, on the 2 x 2 instance only; no
+        # event system, so gumbel_identity checks nothing
+        assert report.checks == {"sandwich_comparison": 6,
+                                 "pgf_identity": 18, "gumbel_identity": 0}
+        assert report.to_dict() == {"trials": 2, "failures": []}
+
+    @pytest.mark.parametrize("kind, atoms", [("dense_pmf", None),
+                                             ("event_system", 6)])
+    def test_moment_grid_built_once_per_trial(self, monkeypatch, kind,
+                                              atoms):
+        import bvbounds.model as model_mod
+
+        real, calls = model_mod.moments_from_pmf, []
+
+        def counted(pmf):
+            calls.append(pmf)
+            return real(pmf)
+
+        monkeypatch.setattr(model_mod, "moments_from_pmf", counted)
+        report = validate([InstanceSpec(3, 3, 4, kind, atoms=atoms)])
+        assert report.ok and len(calls) == 1
+
+    @pytest.mark.parametrize("fault", ["chung_bound_plus_1",
+                                       "moment_s11_plus_1_7"])
+    def test_planted_fault_failure_records(self, monkeypatch, fault):
+        # golden failure records of the parent of the per-trial context:
+        # same properties, parameters, values and order
+        import bvbounds.bounds as bounds_mod
+        import bvbounds.model as model_mod
+
+        if fault == "chung_bound_plus_1":
+            real = bounds_mod.chung_bound
+
+            def planted(*args):
+                bound = real(*args)
+                return replace(bound, value=bound.value + 1)
+
+            monkeypatch.setattr(bounds_mod, "chung_bound", planted)
+        else:
+            real = model_mod.moments_from_pmf
+
+            def planted(pmf):
+                s = [list(row) for row in real(pmf).s]
+                s[1][1] += Fraction(1, 7)
+                return model_mod.MomentMatrix(pmf.m, pmf.n, s)
+
+            monkeypatch.setattr(model_mod, "moments_from_pmf", planted)
+        report = validate([
+            InstanceSpec(11, 3, 2, "dense_pmf"),
+            InstanceSpec(12, 2, 3, "sparse_pmf"),
+            InstanceSpec(13, 2, 2, "event_system", atoms=5),
+        ])
+        golden = json.loads((GOLDEN / "validate_planted.json").read_text())
+        assert report.to_dict()["failures"] == golden[fault]
 
     def test_all_properties_listed(self):
         assert "theorem1_roundtrip" in ALL_PROPERTIES
