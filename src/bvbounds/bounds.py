@@ -21,6 +21,9 @@ marks an undefined bound.  The per-bound functions are thin readers of one
 cell.  The Frechet and Gumbel families are the type pair at target (1, 1),
 since C(m,k) - C(m-1,k) = C(m-1,k-1).
 
+`tables(mm, u, v)` is the one statement of each swept family's label(s),
+direction, first depth and sweep at a target, the Frechet/Gumbel alias too.
+
 Values are reported raw (they may fall outside [0, 1]); a vanishing
 denominator yields an undefined BoundValue rather than an error.
 """
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import _kernel
 from .combinatorics import DomainError
@@ -152,6 +155,35 @@ def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
             [comb(n - t, l - t) for l in range(t, n + 1)])
 
     return _kernel.memo(mm, ("chung", s, t), compute)
+
+
+class Table(NamedTuple):
+    """A swept family's bounds on one target at every legal depth.
+    `cells()` reads the sweep: cells()[i][j] is the bound at depth
+    (k, l) = (first[0] + i, first[1] + j), or cells()[i] the one at depth
+    k = first[0] + i when `first` has one entry (Bonferroni)."""
+
+    labels: Tuple[str, ...]
+    direction: str
+    first: Tuple[int, ...]
+    cells: Callable[[], list]
+
+
+def tables(mm: MomentMatrix, u: int, v: int) -> List[Table]:
+    """Every swept family's table on P(S>=u, T>=v).  No sweep is computed
+    or target checked until cells() runs, so a caller can check first."""
+    at_11 = (u, v) == (1, 1)
+    return [
+        Table(("type-lower",) + ("frechet",) * at_11, LOWER, (1, 1),
+              lambda: type_sweep(mm, u, v)[0]),
+        Table(("type-upper",) + ("gumbel",) * at_11, UPPER, (1, 1),
+              lambda: type_sweep(mm, u, v)[1]),
+        Table(("chung",), UPPER, (u, v), lambda: chung_sweep(mm, u, v)),
+        Table(("bonferroni-lower",), LOWER, (0,),
+              lambda: bonferroni_sweep(mm, u, v)[0]),
+        Table(("bonferroni-upper",), UPPER, (0,),
+              lambda: bonferroni_sweep(mm, u, v)[1]),
+    ]
 
 
 def bonferroni_pair(

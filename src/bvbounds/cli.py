@@ -289,37 +289,24 @@ def cmd_bound(args, out) -> int:
 def cmd_sweep(args, out) -> int:
     mm = to_moments(load_instance(args.infile))
     fam = args.family
-    if fam in ("frechet", "gumbel"):
-        if args.u != 1 or args.v != 1:
-            raise InputError(f"--family {fam} targets u=1, v=1 only")
-        table = bnd.type_sweep(mm, 1, 1)[fam == "gumbel"]
-        ks, ls = range(1, mm.m + 1), range(1, mm.n + 1)
-    else:  # chung: sweep depth parameters at target (u, v)
-        ks, ls = range(args.u, mm.m + 1), range(args.v, mm.n + 1)
-        table = bnd.chung_sweep(mm, args.u, args.v) if ks and ls else []
-    vals = {(k, l): Fraction(*table[k - ks.start][l - ls.start])
-            for k in ks for l in ls}
+    table = next((t for t in bnd.tables(mm, args.u, args.v)
+                  if fam in t.labels), None)
+    if table is None:
+        raise InputError(f"--family {fam} targets u=1, v=1 only")
+    grid = [[Fraction(*cell) for cell in row] for row in table.cells()]
     print(f"{fam} sweep over (k, l):", file=out)
-    for k in ks:
-        print("  " + "  ".join(str(vals[(k, l)]) for l in ls), file=out)
-    # Frechet is nondecreasing and concave, the others nonincreasing and
-    # convex, in each of k and l.
-    sign = 1 if fam == "frechet" else -1
-    violations = []
-    for k in ks:
-        for l in ls:
-            for dk, dl, tag in ((1, 0, "k"), (0, 1, "l")):
-                a, b, c = (vals.get((k + i * dk, l + i * dl)) for i in range(3))
-                if b is not None and sign * (b - a) < 0:
-                    violations.append(f"MONOTONICITY VIOLATION in {tag} "
-                                      f"at k={k}, l={l}")
-                if c is not None and sign * (c - 2 * b + a) > 0:
-                    violations.append(f"CURVATURE VIOLATION in {tag} "
-                                      f"at k={k}, l={l}")
-    for line in violations:
-        print(line, file=out)
-    if violations:
-        print(f"{len(violations)} violation(s) found", file=out)
+    for row in grid:
+        print("  " + "  ".join(map(str, row)), file=out)
+    # by cell, then axis; an axis's monotonicity check precedes its curvature
+    failures = sorted(oracle.shape_failures(fam, grid, table.first),
+                      key=lambda f: (f.params["k"], f.params["l"],
+                                     f.property_id[-1]))
+    for f in failures:
+        kind = "MONOTONICITY" if "_monotone_" in f.property_id else "CURVATURE"
+        print(f"{kind} VIOLATION in {f.property_id[-1]} "
+              f"at k={f.params['k']}, l={f.params['l']}", file=out)
+    if failures:
+        print(f"{len(failures)} violation(s) found", file=out)
         return EXIT_VIOLATION
     print("no monotonicity/convexity violations", file=out)
     return EXIT_OK
@@ -329,29 +316,22 @@ def _compare_rows(mm: MomentMatrix, u: int, v: int):
     """(label, direction, num, den) of each defined bound on P(S>=u, T>=v),
     reduced once, and (label, note) of the undefined ones compare reports."""
     rows: List[Tuple[str, str, int, int]] = []
-
-    def add(direction: str, cell, *labels: str) -> None:
-        num, den = cell
-        if den:
-            g = gcd(num, den)
-            num, den = num // g, den // g
-            rows.extend([(lbl, direction, num, den) for lbl in labels])
-
-    # At (1, 1) the Frechet and Gumbel bounds are the type pair.
-    at_11 = u == 1 and v == 1
-    lower, upper = bnd.type_sweep(mm, u, v)
-    for k, (lo_row, up_row) in enumerate(zip(lower, upper), start=1):
-        for l, (lo, up) in enumerate(zip(lo_row, up_row), start=1):
-            kl = f"k={k} l={l}"
-            add("lower", lo, f"type-lower {kl}", *[f"frechet {kl}"] * at_11)
-            add("upper", up, f"type-upper {kl}", *[f"gumbel {kl}"] * at_11)
-    for k, row in enumerate(bnd.chung_sweep(mm, u, v), start=u):
-        for l, cell in enumerate(row, start=v):
-            add("upper", cell, f"chung k={k} l={l}")
-    for k, (lo, up) in enumerate(zip(*bnd.bonferroni_sweep(mm, u, v))):
-        add("lower", lo, f"bonferroni-lower k={k}")
-        add("upper", up, f"bonferroni-upper k={k}")
-    if not at_11:
+    for table in bnd.tables(mm, u, v):
+        labels, direction, cells = table.labels, table.direction, table.cells()
+        if len(table.first) == 1:
+            depths = ((f"k={k}", cell)
+                      for k, cell in enumerate(cells, table.first[0]))
+        else:
+            k0, l0 = table.first
+            depths = ((f"k={k} l={l}", cell)
+                      for k, row in enumerate(cells, k0)
+                      for l, cell in enumerate(row, l0))
+        for depth, (num, den) in depths:
+            if den:
+                g = gcd(num, den)
+                rows.extend([(f"{lbl} {depth}", direction, num // g, den // g)
+                             for lbl in labels])
+    if (u, v) != (1, 1):
         return rows, []
     if mm.m < 2 or mm.n < 2:
         return rows, [("c1/c3/c6", "require m >= 2 and n >= 2")]
@@ -419,6 +399,10 @@ def cmd_validate(args, out) -> int:
     for flag in ("mmax", "nmax"):
         if getattr(args, flag) < 1:
             raise InputError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
+    if args.properties == []:
+        raise InputError("--properties needs at least one property id")
     rng = random.Random(args.seed)
     specs = []
     for i in range(args.trials):
@@ -493,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = command("sweep", cmd_sweep,
                     "bound table over (k, l) with shape checks")
-    sweep.add_argument("--family", choices=("frechet", "gumbel", "chung"),
+    sweep.add_argument("--family", choices=tuple(oracle.RISING),
                        required=True)
     compare = command("compare", cmd_compare,
                       "all applicable bounds vs the exact tail")

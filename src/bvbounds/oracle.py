@@ -13,6 +13,11 @@ Each trial of `validate` builds one context (`_Trial`) that every property
 reads: the pmf, its moment grid from `model.moments_from_pmf` and its tail
 table, the last two built on first use.  The context lives for one trial
 only, so nothing is cached across instances.
+
+`RISING` states the shape theorem of each swept family once.
+`check_shape` checks it for the `*_shape` properties, which read the bounds
+one cell at a time (never `bounds.tables` or a sweep), and `shape_failures`
+gives the CLI's `sweep` the checks a table fails.
 """
 
 from __future__ import annotations
@@ -168,6 +173,10 @@ def tail_table_from_pmf(pmf: JointPMF) -> TailTable:
 # ---------------------------------------------------------------------------
 # property suite
 
+# Each swept family's shape in each of its depths k and l: rising (True)
+# is nondecreasing and concave, falling (False) nonincreasing and convex.
+RISING = {"frechet": True, "gumbel": False, "chung": False}
+
 
 class _Trial:
     """One trial's instance and the exact data its properties share: the
@@ -207,6 +216,44 @@ class _Recorder:
             self.report.failures.append(
                 Failure(self.spec, prop, params, Fraction(lhs), Fraction(rhs))
             )
+
+
+def check_shape(rec: _Recorder, family: str, grid, first: Tuple[int, int],
+                fixed: Dict[str, int],
+                then: Optional[Callable[[Dict[str, int]], None]]) -> None:
+    """Check the shape `RISING` states for a swept family on grid[i][j], its
+    bound at depth (k, l) = (first[0] + i, first[1] + j), with params
+    `fixed` plus k and l.  At each cell, in order: monotone in k, monotone
+    in l, curvature in k, curvature in l, then `then(params)` if given."""
+    rising = RISING[family]
+    le = rec.check_le if rising else (
+        lambda prop, p, lhs, rhs: rec.check_le(prop, p, rhs, lhs))
+    bend = "concave" if rising else "convex"
+    mono_k, mono_l = f"{family}_monotone_k", f"{family}_monotone_l"
+    bend_k, bend_l = f"{family}_{bend}_k", f"{family}_{bend}_l"
+    k0, l0 = first
+    rows, cols = len(grid), len(grid[0])
+    for i, row in enumerate(grid):
+        for j, x in enumerate(row):
+            p = {**fixed, "k": k0 + i, "l": l0 + j}
+            if i + 1 < rows:
+                le(mono_k, p, x, grid[i + 1][j])
+            if j + 1 < cols:
+                le(mono_l, p, x, row[j + 1])
+            if i + 2 < rows:
+                le(bend_k, p, grid[i + 2][j] - 2 * grid[i + 1][j] + x, 0)
+            if j + 2 < cols:
+                le(bend_l, p, row[j + 2] - 2 * row[j + 1] + x, 0)
+            if then is not None:
+                then(p)
+
+
+def shape_failures(family: str, grid,
+                   first: Tuple[int, int]) -> List[Failure]:
+    """The shape checks of `check_shape` that grid fails, with no spec."""
+    report = ValidationReport()
+    check_shape(_Recorder(None, report), family, grid, first, {}, None)
+    return report.failures
 
 
 def _prop_theorem1_roundtrip(trial: _Trial, rec: _Recorder) -> None:
@@ -403,61 +450,18 @@ def _prop_sandwich_comparison(trial: _Trial, rec: _Recorder) -> None:
 
 
 def _prop_frechet_shape(trial: _Trial, rec: _Recorder) -> None:
-    pmf, mm = trial.pmf, trial.mm
-    f = [
-        [bnd.frechet_lower(mm, k, l).value for l in range(1, pmf.n + 1)]
-        for k in range(1, pmf.m + 1)
-    ]
-    for ki in range(len(f)):
-        for li in range(len(f[0])):
-            p = {"k": ki + 1, "l": li + 1}
-            if ki + 1 < len(f):
-                rec.check_le("frechet_monotone_k", p, f[ki][li], f[ki + 1][li])
-            if li + 1 < len(f[0]):
-                rec.check_le("frechet_monotone_l", p, f[ki][li], f[ki][li + 1])
-            if ki + 2 < len(f):
-                rec.check_le(
-                    "frechet_concave_k",
-                    p,
-                    f[ki + 2][li] - 2 * f[ki + 1][li] + f[ki][li],
-                    0,
-                )
-            if li + 2 < len(f[0]):
-                rec.check_le(
-                    "frechet_concave_l",
-                    p,
-                    f[ki][li + 2] - 2 * f[ki][li + 1] + f[ki][li],
-                    0,
-                )
+    _depth_shape(trial, rec, "frechet", bnd.frechet_lower)
 
 
 def _prop_gumbel_shape(trial: _Trial, rec: _Recorder) -> None:
+    _depth_shape(trial, rec, "gumbel", bnd.gumbel_upper)
+
+
+def _depth_shape(trial: _Trial, rec: _Recorder, family: str, bound) -> None:
     pmf, mm = trial.pmf, trial.mm
-    g = [
-        [bnd.gumbel_upper(mm, k, l).value for l in range(1, pmf.n + 1)]
-        for k in range(1, pmf.m + 1)
-    ]
-    for ki in range(len(g)):
-        for li in range(len(g[0])):
-            p = {"k": ki + 1, "l": li + 1}
-            if ki + 1 < len(g):
-                rec.check_le("gumbel_monotone_k", p, g[ki + 1][li], g[ki][li])
-            if li + 1 < len(g[0]):
-                rec.check_le("gumbel_monotone_l", p, g[ki][li + 1], g[ki][li])
-            if ki + 2 < len(g):
-                rec.check_le(
-                    "gumbel_convex_k",
-                    p,
-                    0,
-                    g[ki + 2][li] - 2 * g[ki + 1][li] + g[ki][li],
-                )
-            if li + 2 < len(g[0]):
-                rec.check_le(
-                    "gumbel_convex_l",
-                    p,
-                    0,
-                    g[ki][li + 2] - 2 * g[ki][li + 1] + g[ki][li],
-                )
+    grid = [[bound(mm, k, l).value for l in range(1, pmf.n + 1)]
+            for k in range(1, pmf.m + 1)]
+    check_shape(rec, family, grid, (1, 1), {}, None)
 
 
 def _prop_chung_shape(trial: _Trial, rec: _Recorder) -> None:
@@ -465,39 +469,18 @@ def _prop_chung_shape(trial: _Trial, rec: _Recorder) -> None:
     m, n = pmf.m, pmf.n
     for s in range(1, m + 1):
         for t in range(1, n + 1):
-            a = {
-                (k, l): bnd.chung_bound(mm, s, t, k, l).value
-                for k in range(s, m + 1)
-                for l in range(t, n + 1)
-            }
-            for (k, l), val in a.items():
-                p = {"s": s, "t": t, "k": k, "l": l}
-                if k + 1 <= m:
-                    rec.check_le("chung_monotone_k", p, a[(k + 1, l)], val)
-                if l + 1 <= n:
-                    rec.check_le("chung_monotone_l", p, a[(k, l + 1)], val)
-                if k + 2 <= m:
-                    rec.check_le(
-                        "chung_convex_k",
-                        p,
-                        0,
-                        a[(k + 2, l)] - 2 * a[(k + 1, l)] + val,
-                    )
-                if l + 2 <= n:
-                    rec.check_le(
-                        "chung_convex_l",
-                        p,
-                        0,
-                        a[(k, l + 2)] - 2 * a[(k, l + 1)] + val,
-                    )
-                if k + 1 <= m and s < m:
-                    rec.check(
-                        "chung_recursion",
-                        p,
-                        val - a[(k + 1, l)],
-                        Fraction(s, m - s)
-                        * bnd.chung_bound(mm, s + 1, t, k + 1, l).value,
-                    )
+            a = [[bnd.chung_bound(mm, s, t, k, l).value
+                  for l in range(t, n + 1)] for k in range(s, m + 1)]
+
+            def recursion(p):  # called at once, for this s, t and a
+                k, l = p["k"], p["l"]
+                if k < m:
+                    rec.check("chung_recursion", p,
+                              a[k - s][l - t] - a[k - s + 1][l - t],
+                              Fraction(s, m - s)
+                              * bnd.chung_bound(mm, s + 1, t, k + 1, l).value)
+
+            check_shape(rec, "chung", a, (s, t), {"s": s, "t": t}, recursion)
 
 
 def _prop_anchors(trial: _Trial, rec: _Recorder) -> None:

@@ -145,6 +145,33 @@ class TestSweep:
         )
         assert status == 0
 
+    @pytest.mark.parametrize("u, v, message", [
+        ("3", "1", "need 1 <= s <= k <= m"),
+        ("1", "3", "need 1 <= t <= l <= n"),
+        ("0", "3", "need 1 <= s <= k <= m"),
+        ("2", "0", "need 1 <= t <= l <= n"),
+    ])
+    def test_chung_target_outside_the_grid(self, e2_file, capsys, u, v,
+                                           message):
+        status, out, err = run(
+            ["sweep", "--in", e2_file, "--family", "chung",
+             "--u", u, "--v", v],
+            capsys,
+        )
+        assert (status, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("family", ["frechet", "gumbel"])
+    @pytest.mark.parametrize("u, v", [("0", "1"), ("2", "1"), ("1", "3")])
+    def test_frechet_gumbel_target_one_one_only(self, e2_file, capsys,
+                                                family, u, v):
+        status, out, err = run(
+            ["sweep", "--in", e2_file, "--family", family,
+             "--u", u, "--v", v],
+            capsys,
+        )
+        assert (status, out) == (1, "")
+        assert err == f"error: --family {family} targets u=1, v=1 only\n"
+
 
 class TestCompare:
     def test_e2_values(self, e2_file, capsys):
@@ -178,6 +205,15 @@ class TestValidate:
         status, out, _ = run(["validate", "--trials", "0"], capsys)
         assert status == 0
         assert "trials: 0" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--trials", "-3"], "--trials must be >= 0, got -3"),
+        (["--trials", "2", "--properties"],
+         "--properties needs at least one property id"),
+    ])
+    def test_run_that_checks_nothing_is_refused(self, capsys, argv, message):
+        status, out, err = run(["validate", *argv], capsys)
+        assert (status, out, err) == (1, "", f"error: {message}\n")
 
     def test_small_clean_run_json(self, capsys):
         status, out, _ = run(

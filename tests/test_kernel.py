@@ -219,6 +219,28 @@ def test_results_are_cached_per_instance_without_changing_equality():
      "compare1_u1_v1.txt"),
     (["compare", "--in", "pmf1.json", "--u", "1", "--v", "3"],
      "compare1_u1_v3.txt"),
+    *[(["sweep", "--in", f"pmf{size}.json", "--family", family,
+        "--u", u, "--v", v], f"sweep{size}_{family}_u{u}_v{v}.txt")
+      for size, family, u, v in [
+          ("6", "frechet", "1", "1"), ("6", "gumbel", "1", "1"),
+          ("6", "chung", "1", "1"), ("6", "chung", "2", "3"),
+          ("1", "frechet", "1", "1"), ("1", "gumbel", "1", "1"),
+          ("1", "chung", "1", "1"), ("1", "chung", "1", "3")]],
+    # the type bound at (s, t, k) = (6, 1, 2) has an undefined lower bound
+    *[(["bound", "--in", "pmf6.json", "--family", family,
+        *[a for name, value in params for a in (f"--{name}", value)]],
+       "_".join(["bound6_" + family]
+                + [name + value for name, value in params]) + ".txt")
+      for family, params in [
+          ("bonferroni", [("u", "1"), ("v", "1"), ("k", "0")]),
+          ("bonferroni", [("u", "2"), ("v", "3"), ("k", "2")]),
+          ("frechet", [("k", "2"), ("l", "3")]),
+          ("gumbel", [("k", "1"), ("l", "1")]),
+          ("type", [("s", "2"), ("t", "3"), ("k", "2"), ("l", "4")]),
+          ("type", [("s", "6"), ("t", "1"), ("k", "2"), ("l", "1")]),
+          ("chung", [("s", "1"), ("t", "1"), ("k", "2"), ("l", "2")]),
+          ("chung", [("s", "2"), ("t", "3"), ("k", "4"), ("l", "5")]),
+          ("c1", []), ("c3", [("a", "5"), ("b", "5")]), ("c6", [])]],
 ])
 def test_cli_output_matches_golden(argv, golden, capsys):
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]

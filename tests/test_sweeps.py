@@ -3,6 +3,10 @@ of tests/reference.py: mixed denominators, negative entries, zero
 denominators and extents of 1 included."""
 
 import ast
+import contextlib
+import io
+import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,9 +15,12 @@ from hypothesis import given, settings
 
 import reference as ref
 import bvbounds
-from bvbounds import DomainError, JointPMF, MomentMatrix, moments_from_pmf
+import bvbounds.bounds as bounds_mod
+from bvbounds import (DomainError, InstanceSpec, JointPMF, MomentMatrix,
+                      moments_from_pmf, validate)
 from bvbounds.bounds import bonferroni_sweep, chung_sweep, type_sweep
-from test_kernel import moment_matrices
+from bvbounds.cli import main
+from test_kernel import GOLDEN, SRC, moment_matrices
 
 
 def value(cell):
@@ -107,7 +114,7 @@ def test_target_out_of_range(sweep, target, message):
 def test_oracle_does_not_read_the_sweeps():
     # The oracle checks the bound functions; it must not share their sweeps.
     sweeps = {"bonferroni_sweep", "chung_sweep", "type_sweep",
-              "complementary_part"}
+              "complementary_part", "tables"}
     tree = ast.parse((Path(bvbounds.__file__).parent / "oracle.py")
                      .read_text())
     names = set()
@@ -120,3 +127,76 @@ def test_oracle_does_not_read_the_sweeps():
             names.add(node.id)
     assert "frechet_lower" in names  # the walk sees the bound calls
     assert not names & sweeps
+
+
+def test_cli_does_not_name_the_sweeps():
+    # compare and sweep read the sweeps through bounds.tables only
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.alias):  # an imported name
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert "tables" in names  # the walk sees the table reads
+    assert not names & {"type_sweep", "chung_sweep", "bonferroni_sweep"}
+
+
+def planted_term(k, l):
+    """A term nonlinear in (k, l), times 100: cubic in each depth with an
+    inflection between 2 and 3, so that it breaks the monotonicity and the
+    curvature of every family in both depths somewhere."""
+    return (((2 * k - 5) ** 3 - 9 * (2 * k - 5)) * l
+            + ((2 * l - 5) ** 3 - 9 * (2 * l - 5)) * k)
+
+
+def test_sweep_planted_fault_matches_golden(monkeypatch):
+    # golden `sweep` output of the parent of the shared shape checker, on
+    # sweeps bent by the planted term: the same violation lines, in order
+    def bend(grid):
+        return [[(num * 100 + den * planted_term(i + 1, j + 1), den * 100)
+                 for j, (num, den) in enumerate(row)]
+                for i, row in enumerate(grid)]
+
+    real_type, real_chung = bounds_mod.type_sweep, bounds_mod.chung_sweep
+    monkeypatch.setattr(bounds_mod, "type_sweep",
+                        lambda mm, s, t: tuple(map(bend, real_type(mm, s, t))))
+    monkeypatch.setattr(bounds_mod, "chung_sweep",
+                        lambda mm, s, t: bend(real_chung(mm, s, t)))
+    golden = json.loads((GOLDEN / "sweep_planted.json").read_text())
+    assert sum(want["status"] == 2 for want in golden.values()) == 7
+    for case, want in golden.items():
+        path, family, u, v = case.split()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(["sweep", "--in", str(GOLDEN / path), "--family",
+                           family, "--u", u, "--v", v])
+        assert (status, out.getvalue()) == (want["status"], want["stdout"])
+
+
+def test_shape_planted_fault_matches_golden(monkeypatch):
+    # golden failure records and check counts of the parent of the shared
+    # shape checker, with the planted term added to every per-cell bound
+    def planted(real):
+        def bound(mm, *args):
+            value = real(mm, *args)
+            k, l = args[-2:]
+            return replace(value, value=value.value
+                           + Fraction(planted_term(k, l), 100))
+        return bound
+
+    for name in ("frechet_lower", "gumbel_upper", "chung_bound"):
+        monkeypatch.setattr(bounds_mod, name,
+                            planted(getattr(bounds_mod, name)))
+    report = validate([
+        InstanceSpec(11, 3, 2, "dense_pmf"),
+        InstanceSpec(12, 2, 3, "sparse_pmf"),
+        InstanceSpec(13, 2, 2, "event_system", atoms=5),
+        InstanceSpec(14, 4, 4, "dense_pmf"),
+    ], ["frechet_shape", "gumbel_shape", "chung_shape"])
+    golden = json.loads((GOLDEN / "shape_planted.json").read_text())
+    assert report.checks == golden["checks"]
+    assert report.to_dict()["failures"] == golden["failures"]
+    # every check id fails somewhere
+    assert len({f["property"] for f in golden["failures"]}) == 13
