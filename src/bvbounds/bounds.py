@@ -92,9 +92,9 @@ def bonferroni_sweep(
     _check_range("v", v, 1, mm.n)
 
     def compute():
-        nums, den = _kernel.exact(mm, mm.s)
+        den = mm.den
         prefix = _kernel.antidiagonal_prefix(
-            nums, _kernel.tails_map(mm.m)[u], _kernel.tails_map(mm.n)[v]
+            mm.nums, _kernel.tails_map(mm.m)[u], _kernel.tails_map(mm.n)[v]
         )
         last, cuts = mm.m + mm.n, range(u + v, mm.m + mm.n + 3, 2)
         return ([(prefix[min(c + 1, last)], den) for c in cuts],
@@ -147,11 +147,10 @@ def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
     m, n = mm.m, mm.n
 
     def compute():
-        nums, den = _kernel.exact(mm, mm.s)
         return _grid(
-            _kernel.apply(_kernel.chung_map(m, s)[s:], nums,
+            _kernel.apply(_kernel.chung_map(m, s)[s:], mm.nums,
                           _kernel.chung_map(n, t)[t:]),
-            [comb(m - s, k - s) * den for k in range(s, m + 1)],
+            [comb(m - s, k - s) * mm.den for k in range(s, m + 1)],
             [comb(n - t, l - t) for l in range(t, n + 1)])
 
     return _kernel.memo(mm, ("chung", s, t), compute)
@@ -269,8 +268,8 @@ def comparison_bound(
     m, n = mm.m, mm.n
     if m < 2 or n < 2:
         raise DomainError("comparison bounds require m >= 2 and n >= 2")
-    s11, s12 = mm.s[1][1], mm.s[1][2]
-    s21, s22 = mm.s[2][1], mm.s[2][2]
+    s11, s12, s21, s22 = (Fraction(mm.nums[i][j], mm.den)
+                          for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)))
     family = _COMPARISON_FAMILY[which]
     if which == "c1":
         value = (s11 - Fraction(2, n) * s12 - Fraction(2, m) * s21

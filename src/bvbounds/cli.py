@@ -57,7 +57,11 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 DIMENSION_LIMIT = 128
 
 
-def parse_rational(text: str, where: str) -> Fraction:
+def parse_rational(text: str, where: str) -> Tuple[int, int]:
+    """(numerator, denominator > 0) of the rational `Fraction(text)` reads,
+    not necessarily reduced.  A plain integer or a/b of decimal digits is
+    read straight into ints; any other text goes through `Fraction`, under
+    the exponent limit.  Apart from that limit, the errors are Fraction's."""
     core = text.strip()
     if "e" in core or "E" in core:
         match = _EXPONENT.search(core)
@@ -68,10 +72,18 @@ def parse_rational(text: str, where: str) -> Fraction:
                 f"{where}: the decimal exponent of {core[:40]!r} exceeds "
                 f"the limit of {EXPONENT_LIMIT} in absolute value"
             )
+    num, slash, den = core.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
     try:
-        return Fraction(core)
+        # isdecimal() is the \d of Fraction's pattern, and int() reads it
+        if digits.isdecimal() and (not slash or den.isdecimal()):
+            a, b = int(num), int(den) if slash else 1
+            if b:
+                return a, b
+        value = Fraction(core)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{where}: cannot parse rational {text!r}: {exc}")
+    return value.numerator, value.denominator
 
 
 def _check_dimension(value: int, what: str) -> None:
@@ -89,7 +101,8 @@ def _dimension(doc: dict, key: str, path: str) -> int:
     return value
 
 
-def _grid_from_json(doc: dict, key: str, path: str) -> Tuple[int, int, list]:
+def _grid_from_json(doc: dict, key: str, path: str, cls):
+    """The cls grid under `key`, parsed into ints."""
     for field in ("m", "n", key):
         if field not in doc:
             raise InputError(f"{path}: missing key {field!r}")
@@ -105,7 +118,7 @@ def _grid_from_json(doc: dict, key: str, path: str) -> Tuple[int, int, list]:
             [parse_rational(str(x), f"{path} row {u} col {v}")
              for v, x in enumerate(row)]
         )
-    return m, n, grid
+    return cls.from_ints(m, n, *model.common_denominator(grid))
 
 
 def load_events_csv(path: str) -> EventSystem:
@@ -135,7 +148,7 @@ def load_events_csv(path: str) -> EventSystem:
             continue
         if len(row) != len(header):
             raise InputError(f"{path}: line {lineno}: expected {len(header)} cells")
-        w = parse_rational(row[0], f"{path} line {lineno}")
+        w = Fraction(*parse_rational(row[0], f"{path} line {lineno}"))
         bits = []
         for cell in row[1:]:
             cell = cell.strip()
@@ -154,16 +167,16 @@ def load_events_csv(path: str) -> EventSystem:
 def _feasible(mm: MomentMatrix, path: str) -> MomentMatrix:
     """mm, if it is the moment grid of a pmf: s[0][0] = 1 and the exactly
     inverted pmf is nonnegative (it then sums to s[0][0])."""
-    if mm.s[0][0] != 1:
-        raise InputError(
-            f"{path}: infeasible moment grid: s[0][0] = {mm.s[0][0]}, must be 1"
-        )
-    for u, row in enumerate(transforms.pmf_grid_from_moments(mm)):
+    if mm.nums[0][0] != mm.den:
+        raise InputError(f"{path}: infeasible moment grid: s[0][0] = "
+                         f"{cell_text(mm.nums[0][0], mm.den)}, must be 1")
+    pmf = transforms.pmf_grid_from_moments(mm)
+    for u, row in enumerate(pmf.nums):
         for v, x in enumerate(row):
-            if x.numerator < 0:  # cheaper than x < 0, same sign
+            if x < 0:
                 raise InputError(
                     f"{path}: infeasible moment grid: it inverts to "
-                    f"P(S={u}, T={v}) = {x} < 0"
+                    f"P(S={u}, T={v}) = {cell_text(x, pmf.den)} < 0"
                 )
     return mm
 
@@ -181,9 +194,9 @@ def load_instance(path: str) -> Union[JointPMF, EventSystem, MomentMatrix]:
         raise InputError(f"{path}: top level must be a JSON object")
     try:
         if "p" in doc:
-            return JointPMF(*_grid_from_json(doc, "p", path))
+            return _grid_from_json(doc, "p", path, JointPMF)
         if "s" in doc:
-            return _feasible(MomentMatrix(*_grid_from_json(doc, "s", path)),
+            return _feasible(_grid_from_json(doc, "s", path, MomentMatrix),
                              path)
     except DomainError as exc:
         raise InputError(f"{path}: {exc}")
@@ -198,27 +211,31 @@ def to_moments(obj) -> MomentMatrix:
     return model.moments_from_pmf(obj)
 
 
+def cell_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, built from the ints."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 def fmt_ratio(num: int, den: int) -> str:
-    """num/den (den > 0, gcd 1) as str and float of the Fraction print it."""
-    text = str(num) if den == 1 else f"{num}/{den}"
-    return f"{text} (≈{num / den:.4f})"
+    """num/den (den > 0) as str and float of the Fraction print it."""
+    return f"{cell_text(num, den)} (≈{num / den:.4f})"
 
 
 def fmt(q: Fraction) -> str:
     return fmt_ratio(q.numerator, q.denominator)
 
 
-def grid_json(m: int, n: int, key: str, grid) -> str:
-    return json.dumps(
-        {"m": m, "n": n, key: [[str(x) for x in row] for row in grid]},
-        indent=2,
-    )
+def grid_json(key: str, grid) -> str:
+    """A held grid as JSON: m, n and its cells under `key`."""
+    cells = [[cell_text(x, grid.den) for x in row] for row in grid.nums]
+    return json.dumps({"m": grid.m, "n": grid.n, key: cells}, indent=2)
 
 
 def print_matrix(title: str, grid, out) -> None:
     print(title, file=out)
-    for row in grid:
-        print("  " + "  ".join(str(x) for x in row), file=out)
+    for row in grid.nums:
+        print("  " + "  ".join(cell_text(x, grid.den) for x in row), file=out)
 
 
 def _emit_bound(b: BoundValue, clamp: bool, out) -> None:
@@ -248,9 +265,9 @@ def cmd_moments(args, out) -> int:
     else:
         grid, title = model.moments_from_pmf(obj), "binomial moments s[i][j]:"
     if args.json:
-        print(grid_json(grid.m, grid.n, "s", grid.s), file=out)
+        print(grid_json("s", grid), file=out)
     else:
-        print_matrix(title, grid.s, out)
+        print_matrix(title, grid, out)
         if agree is not None:
             print("gumbel identity vs counting-pmf moments: "
                   + ("OK" if agree else "MISMATCH"), file=out)
@@ -262,8 +279,8 @@ def cmd_invert(args, out) -> int:
     if args.to == "pmf":
         key, grid = "p", transforms.pmf_grid_from_moments(mm)
     else:
-        key, grid = "q", transforms.tail_table_from_moments(mm).q
-    print(grid_json(mm.m, mm.n, key, grid), file=out)
+        key, grid = "q", transforms.tail_table_from_moments(mm)
+    print(grid_json(key, grid), file=out)
     return EXIT_OK
 
 
@@ -382,9 +399,10 @@ def cmd_compare(args, out) -> int:
     if not (1 <= u <= pmf.m and 1 <= v <= pmf.n):
         raise InputError("need 1 <= u <= m and 1 <= v <= n")
     mm = model.moments_from_pmf(pmf)
-    exact = oracle.exact_tail(pmf, u, v)
+    tail = sum(x for row in pmf.nums[u:] for x in row[v:])  # over pmf.den
     rows, skips = _compare_rows(mm, u, v)
-    lines = [f"target P(S>={u}, T>={v})", f"exact  {fmt(exact)}"]
+    lines = [f"target P(S>={u}, T>={v})",
+             f"exact  {fmt_ratio(tail, pmf.den)}"]
     for (num, den), direction, lbl, starred in _ordered(rows):
         star = f"  *best {direction}*" if starred else ""
         lines.append(
@@ -403,17 +421,7 @@ def cmd_validate(args, out) -> int:
         raise InputError(f"--trials must be >= 0, got {args.trials}")
     if args.properties == []:
         raise InputError("--properties needs at least one property id")
-    rng = random.Random(args.seed)
-    specs = []
-    for i in range(args.trials):
-        kind = ("dense_pmf", "sparse_pmf", "event_system")[i % 3]
-        es = kind == "event_system"  # at most 4 x 4 events, 1..16 atoms
-        m = rng.randint(1, min(args.mmax, 4) if es else args.mmax)
-        n = rng.randint(1, min(args.nmax, 4) if es else args.nmax)
-        seed = rng.randrange(2**63)
-        atoms = rng.randint(1, 16) if es else None
-        specs.append(oracle.InstanceSpec(seed, m, n, kind, atoms=atoms))
-    report = oracle.validate(specs, args.properties)
+    report = oracle.validate(_specs(args), args.properties)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2), file=out)
     else:
@@ -426,6 +434,19 @@ def cmd_validate(args, out) -> int:
                 file=out,
             )
     return EXIT_OK if report.ok else EXIT_VIOLATION
+
+
+def _specs(args):
+    """The seeded InstanceSpecs of `validate`, made one at a time."""
+    rng = random.Random(args.seed)
+    for i in range(args.trials):
+        kind = ("dense_pmf", "sparse_pmf", "event_system")[i % 3]
+        es = kind == "event_system"  # at most 4 x 4 events, 1..16 atoms
+        m = rng.randint(1, min(args.mmax, 4) if es else args.mmax)
+        n = rng.randint(1, min(args.nmax, 4) if es else args.nmax)
+        seed = rng.randrange(2**63)
+        atoms = rng.randint(1, 16) if es else None
+        yield oracle.InstanceSpec(seed, m, n, kind, atoms=atoms)
 
 
 # --family of `bound`: (function of `bounds`, the flags it takes after the

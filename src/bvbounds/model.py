@@ -1,14 +1,21 @@
 """Problem-instance representations: joint pmfs of a pair of bounded counting
 variables, finite weighted event systems, and grids of bivariate binomial
-moments, together with the bridges between them."""
+moments, together with the bridges between them.
+
+Every grid of rationals (a `RationalGrid`: `JointPMF`, `MomentMatrix`,
+`transforms.TailTable`) is held once, as integer numerators `nums` over the
+least common denominator `den` of its reduced entries, so equality and
+hashing follow the values.  Its `Fraction` view (`p`, `s` or `q`) is built
+when first read; a grid constructed from rationals keeps them as its view.
+The kernel reads the numerators and its products come back as ints."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from typing import Sequence, Tuple
+from itertools import chain, combinations
+from math import comb, gcd, lcm
+from typing import List, Sequence, Tuple
 
 from . import _kernel
 from .combinatorics import DomainError
@@ -16,37 +23,93 @@ from .combinatorics import DomainError
 Grid = Tuple[Tuple[Fraction, ...], ...]
 
 
-def _freeze_grid(rows: Sequence[Sequence], m: int, n: int, what: str) -> Grid:
-    if len(rows) != m + 1 or any(len(row) != n + 1 for row in rows):
-        raise DomainError(f"{what} grid must be ({m + 1})x({n + 1})")
-    return tuple(
-        tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-        for row in rows
-    )
+def common_denominator(pairs) -> Tuple[List[List[int]], int]:
+    """(numerators, lcm of the denominators) of rows of (num, den > 0)."""
+    den = lcm(*(d for row in pairs for _, d in row))
+    return [[a * (den // d) for a, d in row] for row in pairs], den
 
 
-@dataclass(frozen=True)
-class JointPMF:
+class RationalGrid:
+    """A frozen (m+1) x (n+1) grid of rationals, held as `nums` over `den`.
+    RationalGrid(m, n, cells) keeps the Fractions of its cells as its view;
+    from_ints(m, n, nums, den) holds nums[u][v] / den (ints, den > 0) and
+    builds the view when it is first read.  A subclass names its view
+    (VIEW), its grid in a shape error (WHAT) and its least extent (LEAST),
+    and may extend `_hold` to check its values."""
+
+    VIEW, WHAT, LEAST = "cells", "rational", 0
+
+    def __init__(self, m: int, n: int, cells: Sequence[Sequence]):
+        self._check_shape(m, n, cells)
+        view = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                           for x in row) for row in cells)
+        self._hold(m, n, *common_denominator(
+            [[(x.numerator, x.denominator) for x in row] for row in view]))
+        self.__dict__[self.VIEW] = view
+
+    @classmethod
+    def from_ints(cls, m: int, n: int, nums, den: int):
+        grid = cls.__new__(cls)
+        grid._check_shape(m, n, nums)
+        grid._hold(m, n, nums, den)
+        return grid
+
+    def _check_shape(self, m: int, n: int, rows) -> None:
+        if m < self.LEAST or n < self.LEAST:
+            raise DomainError(f"{type(self).__name__} requires "
+                              f"m >= {self.LEAST} and n >= {self.LEAST}")
+        if len(rows) != m + 1 or any(len(row) != n + 1 for row in rows):
+            raise DomainError(f"{self.WHAT} grid must be ({m + 1})x({n + 1})")
+
+    def _hold(self, m: int, n: int, nums, den: int) -> None:
+        # dividing by the gcd leaves den the least common denominator of
+        # the reduced entries: one form per value
+        g = gcd(den, *chain.from_iterable(nums))
+        self.__dict__.update(m=m, n=n, den=den // g, nums=tuple(
+            tuple(x // g for x in row) for row in nums))
+
+    def __getattr__(self, name: str):  # reached only while the view is unbuilt
+        if name != self.VIEW or "nums" not in vars(self):
+            raise AttributeError(name)
+        view = self.__dict__[name] = tuple(
+            tuple(Fraction(x, self.den) for x in row) for row in self.nums)
+        return view
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return (self._key() == other._key() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self):
+        return self.m, self.n, self.den, self.nums
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(m={self.m}, n={self.n}, "
+                f"{self.VIEW}={getattr(self, self.VIEW)!r})")
+
+
+class JointPMF(RationalGrid):
     """Exact joint law of (S, T) on {0..m} x {0..n}."""
 
-    m: int
-    n: int
+    VIEW, WHAT, LEAST = "p", "pmf", 1
     p: Grid
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise DomainError("JointPMF requires m >= 1 and n >= 1")
-        grid = _freeze_grid(self.p, self.m, self.n, "pmf")
-        object.__setattr__(self, "p", grid)
-        # On the integer numerators over the common denominator, which the
-        # kernel keeps for moments_from_pmf.
-        nums, den = _kernel.exact(self, grid)
-        if any(x < 0 for row in nums for x in row):
+    def __init__(self, m: int, n: int, p: Sequence[Sequence]):
+        super().__init__(m, n, p)
+
+    def _hold(self, m: int, n: int, nums, den: int) -> None:
+        super()._hold(m, n, nums, den)
+        if any(x < 0 for row in self.nums for x in row):
             raise DomainError("pmf entries must be nonnegative")
-        total = sum(map(sum, nums))
-        if total != den:
+        total = sum(map(sum, self.nums))
+        if total != self.den:
             raise DomainError(
-                f"pmf must sum to 1 exactly, got {Fraction(total, den)}"
+                f"pmf must sum to 1 exactly, got {Fraction(total, self.den)}"
             )
 
 
@@ -81,28 +144,22 @@ class EventSystem:
             raise DomainError(f"atom weights must sum to 1 exactly, got {total}")
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Grid of bivariate binomial moments s[i][j] = E binom(S,i) binom(T,j)."""
+class MomentMatrix(RationalGrid):
+    """Grid of bivariate binomial moments s[i][j] = E binom(S,i) binom(T,j);
+    its extents may be 0 (truncated Bonferroni-sum grids)."""
 
-    m: int
-    n: int
+    VIEW, WHAT, LEAST = "s", "moment", 0
     s: Grid
 
-    def __post_init__(self):
-        # extents may be 0 for truncated Bonferroni-sum grids
-        if self.m < 0 or self.n < 0:
-            raise DomainError("MomentMatrix requires m >= 0 and n >= 0")
-        object.__setattr__(
-            self, "s", _freeze_grid(self.s, self.m, self.n, "moment")
-        )
+    def __init__(self, m: int, n: int, s: Sequence[Sequence]):
+        super().__init__(m, n, s)
 
 
 def moments_from_pmf(pmf: JointPMF) -> MomentMatrix:
     """Full grid of binomial moments of (S, T), computed exactly:
     s[i][j] = sum_{u,v} C(u,i) C(v,j) p[u][v]."""
-    return MomentMatrix(
-        pmf.m, pmf.n, _kernel.mapped(pmf, pmf.p, _kernel.moments_map)
+    return MomentMatrix.from_ints(
+        pmf.m, pmf.n, *_kernel.product(pmf, _kernel.moments_map)
     )
 
 
@@ -131,21 +188,15 @@ def bonferroni_sums(es: EventSystem, kmax: int, lmax: int) -> MomentMatrix:
             f"(subset pair, atom) checks, over the limit of "
             f"{SUBSET_CHECK_LIMIT}; lower kmax/lmax"
         )
-    grid = []
-    for k in range(kmax + 1):
-        row = []
-        for l in range(lmax + 1):
-            total = Fraction(0)
-            for a_sub in combinations(range(es.m), k):
-                for b_sub in combinations(range(es.n), l):
-                    total += sum(
-                        w
-                        for w, a, b in es.atoms
-                        if all(a[i] for i in a_sub) and all(b[j] for j in b_sub)
-                    )
-            row.append(total)
-        grid.append(row)
-    return MomentMatrix(kmax, lmax, grid)
+    def total(k: int, l: int) -> Fraction:
+        return sum((w for a_sub in combinations(range(es.m), k)
+                    for b_sub in combinations(range(es.n), l)
+                    for w, a, b in es.atoms
+                    if all(a[i] for i in a_sub) and all(b[j] for j in b_sub)),
+                   Fraction(0))
+
+    return MomentMatrix(kmax, lmax, [[total(k, l) for l in range(lmax + 1)]
+                                     for k in range(kmax + 1)])
 
 
 def counting_pmf(es: EventSystem) -> JointPMF:
@@ -160,22 +211,13 @@ def event_system_from_pmf(pmf: JointPMF) -> EventSystem:
     """Event system whose counting variables have the given joint law: one
     atom per support point (u, v), belonging to the first u A-events and the
     first v B-events."""
-    atoms = []
-    for u in range(pmf.m + 1):
-        for v in range(pmf.n + 1):
-            w = pmf.p[u][v]
-            if w == 0:
-                continue
-            a = tuple(1 if i <= u else 0 for i in range(1, pmf.m + 1))
-            b = tuple(1 if j <= v else 0 for j in range(1, pmf.n + 1))
-            atoms.append((w, a, b))
-    return EventSystem(pmf.m, pmf.n, tuple(atoms))
+    return EventSystem(pmf.m, pmf.n, tuple(
+        (w, tuple(int(i <= u) for i in range(1, pmf.m + 1)),
+         tuple(int(j <= v) for j in range(1, pmf.n + 1)))
+        for u, row in enumerate(pmf.p) for v, w in enumerate(row) if w))
 
 
 def complement_pmf(pmf: JointPMF) -> JointPMF:
     """Law of (m - S, n - T); an involution."""
-    q = [
-        [pmf.p[pmf.m - u][pmf.n - v] for v in range(pmf.n + 1)]
-        for u in range(pmf.m + 1)
-    ]
-    return JointPMF(pmf.m, pmf.n, q)
+    return JointPMF.from_ints(pmf.m, pmf.n,
+                              [row[::-1] for row in pmf.nums[::-1]], pmf.den)

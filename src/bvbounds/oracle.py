@@ -260,32 +260,20 @@ def _prop_theorem1_roundtrip(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
     for u in range(pmf.m + 1):
         for v in range(pmf.n + 1):
-            rec.check(
-                "theorem1_roundtrip",
-                {"u": u, "v": v},
-                transforms.pmf_from_moments(mm, u, v),
-                pmf.p[u][v],
-            )
+            rec.check("theorem1_roundtrip", {"u": u, "v": v},
+                      transforms.pmf_from_moments(mm, u, v), pmf.p[u][v])
 
 
 def _prop_theorem2_roundtrip(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm, tt = trial.pmf, trial.mm, trial.tt
     for u in range(pmf.m + 1):
         for v in range(pmf.n + 1):
-            rec.check(
-                "theorem2_tails",
-                {"u": u, "v": v},
-                transforms.tails_from_moments(mm, u, v),
-                tt.q[u][v],
-            )
+            rec.check("theorem2_tails", {"u": u, "v": v},
+                      transforms.tails_from_moments(mm, u, v), tt.q[u][v])
     for i in range(pmf.m + 1):
         for j in range(pmf.n + 1):
-            rec.check(
-                "theorem2_moments",
-                {"i": i, "j": j},
-                transforms.moments_from_tails(tt, i, j),
-                mm.s[i][j],
-            )
+            rec.check("theorem2_moments", {"i": i, "j": j},
+                      transforms.moments_from_tails(tt, i, j), mm.s[i][j])
 
 
 def _prop_pgf_identity(trial: _Trial, rec: _Recorder) -> None:
@@ -307,9 +295,8 @@ def _prop_event_roundtrip(trial: _Trial, rec: _Recorder) -> None:
     back = model.counting_pmf(model.event_system_from_pmf(pmf))
     for u in range(pmf.m + 1):
         for v in range(pmf.n + 1):
-            rec.check(
-                "event_roundtrip", {"u": u, "v": v}, back.p[u][v], pmf.p[u][v]
-            )
+            rec.check("event_roundtrip", {"u": u, "v": v}, back.p[u][v],
+                      pmf.p[u][v])
 
 
 def _prop_moment_bounds(trial: _Trial, rec: _Recorder) -> None:
@@ -318,12 +305,8 @@ def _prop_moment_bounds(trial: _Trial, rec: _Recorder) -> None:
     for i in range(pmf.m + 1):
         for j in range(pmf.n + 1):
             rec.check_le("moment_bounds", {"i": i, "j": j}, 0, mm.s[i][j])
-            rec.check_le(
-                "moment_bounds",
-                {"i": i, "j": j},
-                mm.s[i][j],
-                binom(pmf.m, i) * binom(pmf.n, j),
-            )
+            rec.check_le("moment_bounds", {"i": i, "j": j}, mm.s[i][j],
+                         binom(pmf.m, i) * binom(pmf.n, j))
 
 
 def _prop_complementary_expansion(trial: _Trial, rec: _Recorder) -> None:

@@ -12,38 +12,32 @@ univariate versions on the marginals, since P(S>=0, T>=v) = P(T>=v).
 
 Each of these maps, and the complementary moments, is L . s . R^T with
 triangular binomial matrices L and R.  The private `_kernel` module
-evaluates them once per grid on integers: the grid is held as numerators
-over one common denominator, and Fractions are built only for the values
-returned.  The brute-force oracle never uses that kernel, so that it checks
-these results by independent routes.
+evaluates them once per grid on the grid's own integer numerators; a grid
+result is built straight from the ints, its `Fraction` view left unbuilt
+until read, and a single value is one `Fraction`.  The brute-force oracle
+never uses that kernel, so that it checks these results by independent
+routes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from . import _kernel
 from .combinatorics import DomainError, Rational
-from .model import Grid, JointPMF, MomentMatrix, _freeze_grid
+from .model import Grid, JointPMF, MomentMatrix, RationalGrid
 
 
-@dataclass(frozen=True)
-class TailTable:
+class TailTable(RationalGrid):
     """Grid of upper-orthant tail probabilities q[u][v] = P(S>=u, T>=v)."""
 
-    m: int
-    n: int
+    VIEW, WHAT, LEAST = "q", "tail", 1
     q: Grid
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise DomainError("TailTable requires m >= 1 and n >= 1")
-        object.__setattr__(
-            self, "q", _freeze_grid(self.q, self.m, self.n, "tail")
-        )
+    def __init__(self, m: int, n: int, q: Sequence[Sequence]):
+        super().__init__(m, n, q)
 
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> None:
@@ -51,17 +45,29 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise DomainError(f"{name}={value} outside [{lo}, {hi}]")
 
 
-def pmf_grid_from_moments(mm: MomentMatrix) -> Grid:
-    """Every P(S=u, T=v) recovered from the moment grid, computed once per
-    grid."""
-    return _kernel.mapped(mm, mm.s, _kernel.pmf_map)
+def _cell(grid: RationalGrid, coefficients, names: str, i: int, j: int,
+          corner: bool) -> Fraction:
+    """Cell (i, j), checked in range and named by `names`, of the kernel
+    product of grid by coefficients; 1 at (0, 0) if `corner`."""
+    _check_range(names[0], i, 0, grid.m)
+    _check_range(names[1], j, 0, grid.n)
+    if corner and i == j == 0:
+        return Fraction(1)
+    nums, den = _kernel.product(grid, coefficients)
+    return Fraction(nums[i][j], den)
+
+
+def pmf_grid_from_moments(mm: MomentMatrix) -> RationalGrid:
+    """Every P(S=u, T=v) recovered from the moment grid (negative where the
+    grid is not the moment grid of a pmf)."""
+    return RationalGrid.from_ints(
+        mm.m, mm.n, *_kernel.product(mm, _kernel.pmf_map)
+    )
 
 
 def pmf_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
     """P(S=u, T=v) recovered from the moment grid."""
-    _check_range("u", u, 0, mm.m)
-    _check_range("v", v, 0, mm.n)
-    return pmf_grid_from_moments(mm)[u][v]
+    return _cell(mm, _kernel.pmf_map, "uv", u, v, False)
 
 
 def tails_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
@@ -71,57 +77,46 @@ def tails_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
     bivariate coefficient C(i-1, u-1) is only meaningful for u >= 1.
     P(S>=0, T>=0) is 1 whatever s[0][0] holds.
     """
-    _check_range("u", u, 0, mm.m)
-    _check_range("v", v, 0, mm.n)
-    if u == 0 and v == 0:
-        return Fraction(1)
-    return _kernel.mapped(mm, mm.s, _kernel.tails_map)[u][v]
+    return _cell(mm, _kernel.tails_map, "uv", u, v, True)
 
 
 def tail_table_from_moments(mm: MomentMatrix) -> TailTable:
-    q = [
-        [tails_from_moments(mm, u, v) for v in range(mm.n + 1)]
-        for u in range(mm.m + 1)
-    ]
-    return TailTable(mm.m, mm.n, q)
+    """Every P(S>=u, T>=v) recovered from the moment grid, q[0][0] = 1."""
+    nums, den = _kernel.product(mm, _kernel.tails_map)
+    return TailTable.from_ints(mm.m, mm.n, [[den, *nums[0][1:]], *nums[1:]],
+                               den)
 
 
 def moments_from_tails(tt: TailTable, i: int, j: int) -> Fraction:
     """Binomial moment s[i][j] recovered from the tail grid; inverse of
     tails_from_moments.  i = 0 or j = 0 use the univariate marginal form;
     s[0][0] is 1 whatever q[0][0] holds."""
-    _check_range("i", i, 0, tt.m)
-    _check_range("j", j, 0, tt.n)
-    if i == 0 and j == 0:
-        return Fraction(1)
-    return _kernel.mapped(tt, tt.q, _kernel.tails_inverse_map)[i][j]
+    return _cell(tt, _kernel.tails_inverse_map, "ij", i, j, True)
 
 
-def _poly_eval(obj, grid: Grid, t: Rational, s: Rational) -> Fraction:
+def _poly_eval(grid: RationalGrid, t: Rational, s: Rational) -> Fraction:
     """sum_{u,v} grid[u][v] t^u s^v (0^0 = 1) on integers: with t = a/b and
-    s = c/d, the grid's numerators over their common denominator D are
-    weighted by a^u b^(m-u) and c^v d^(n-v), and the sum is over
-    D b^m d^n."""
+    s = c/d, the grid's numerators over its denominator D are weighted by
+    a^u b^(m-u) and c^v d^(n-v), and the sum is over D b^m d^n."""
     t, s = Fraction(t), Fraction(s)
     a, b, c, d = t.numerator, t.denominator, s.numerator, s.denominator
-    m, n = obj.m, obj.n
-    nums, den = _kernel.exact(obj, grid)
+    m, n = grid.m, grid.n
     [[total]] = _kernel.apply(
         (tuple(a**u * b**(m - u) for u in range(m + 1)),),
-        nums,
+        grid.nums,
         (tuple(c**v * d**(n - v) for v in range(n + 1)),),
     )
-    return Fraction(total, den * b**m * d**n)
+    return Fraction(total, grid.den * b**m * d**n)
 
 
 def pgf_eval(pmf: JointPMF, t: Rational, s: Rational) -> Fraction:
     """Ordinary bivariate probability generating function at (t, s)."""
-    return _poly_eval(pmf, pmf.p, t, s)
+    return _poly_eval(pmf, t, s)
 
 
 def moment_poly_eval(mm: MomentMatrix, t: Rational, s: Rational) -> Fraction:
     """The moment polynomial sum_{i,j} s[i][j] t^i s^j."""
-    return _poly_eval(mm, mm.s, t, s)
+    return _poly_eval(mm, t, s)
 
 
 def pgf_identity_holds(
@@ -138,10 +133,7 @@ def complementary_part(mm: MomentMatrix) -> Tuple[_kernel.IntGrid, int]:
     """(numerators of A . s . B^T, common denominator), the moment part of
     every complementary moment (see `complementary_moment`), computed once
     per grid."""
-    return _kernel.product(
-        mm, mm.s, "complementary",
-        _kernel.complement_map(mm.m), _kernel.complement_map(mm.n),
-    )
+    return _kernel.product(mm, _kernel.complement_map)
 
 
 def complementary_moment(mm: MomentMatrix, k: int, l: int) -> Fraction:

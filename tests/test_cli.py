@@ -1,10 +1,14 @@
 import io
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bvbounds.cli import main
+from bvbounds import cli, oracle
+from bvbounds.cli import InputError, main, parse_rational
 
 E2_JSON = {
     "m": 2,
@@ -234,6 +238,35 @@ class TestValidate:
         assert run(argv, capsys) == first
         assert set(json.loads(first[1])) == {"trials", "failures"}
 
+    def test_specs_are_made_one_at_a_time(self, capsys, monkeypatch):
+        # the specs `validate` made when it built them all in a list first
+        rng = random.Random(4)
+        expected = []
+        for i in range(60):
+            kind = ("dense_pmf", "sparse_pmf", "event_system")[i % 3]
+            es = kind == "event_system"
+            m = rng.randint(1, 4 if es else 5)
+            n = rng.randint(1, 3)  # --nmax 3 is below 4
+            seed = rng.randrange(2**63)
+            atoms = rng.randint(1, 16) if es else None
+            expected.append(oracle.InstanceSpec(seed, m, n, kind, atoms=atoms))
+        real, received = oracle.validate, []
+
+        def spy(specs, properties=None):
+            assert iter(specs) is specs  # an iterator, not a list
+            received.extend(specs)
+            return real(received, properties)
+
+        monkeypatch.setattr(oracle, "validate", spy)
+        props = ["theorem1_roundtrip", "gumbel_identity"]
+        status, out, _ = run(["validate", "--trials", "60", "--seed", "4",
+                              "--mmax", "5", "--nmax", "3", "--json",
+                              "--properties", *props], capsys)
+        assert received == expected
+        assert status == 0
+        assert out == json.dumps(real(expected, props).to_dict(),
+                                 indent=2) + "\n"
+
 
 class TestErrors:
     def test_subset_enumeration_limit(self, tmp_path, capsys):
@@ -417,3 +450,56 @@ class TestInputChecks:
                              capsys)
         assert status == 0
         assert json.loads(out)["p"] == [["0", "0"], ["0", "1"]]
+
+
+# Texts on which parse_rational must agree with Fraction; "3 / 4" and "3/+4"
+# are what a naive split at "/" with two int() calls would accept.
+PARSE_TEXTS = [
+    "3 / 4", "3/+4", "3/-4", "1/0", "+3/6", "-0/5", "1_000/3", " 7 ",
+    "\u0663/\u0664", "0x10", ".5", "1e3", "2.5E-1", "", " ", "-", "+", "/",
+    "3/", "/4", "--3", "+-3", "2/4/8", "00/07", "-12/08", "\uff11\uff12/3",
+    "\u00b3/4", "1__0", "1_/2", "_1", "\t5/10\n", "\u22123", "-5/0", "0/0",
+    "9" * 4301, "1/" + "9" * 4301, "-" + "9" * 4301 + "/" + "9" * 4400, "7.",
+    "1.5/2", "3/4.0",
+]
+
+
+def fraction_outcome(text):
+    """What parse_rational has always returned or raised for `text`: the
+    value Fraction(text) reads, or the error Fraction gives on the text
+    with its surrounding whitespace stripped."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    try:
+        Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"here: cannot parse rational {text!r}: {exc}"
+
+
+def parse_outcome(text):
+    try:
+        num, den = parse_rational(text, "here")
+    except InputError as exc:
+        return str(exc)
+    assert type(num) is int and type(den) is int and den > 0
+    return Fraction(num, den)
+
+
+@pytest.mark.parametrize("text", PARSE_TEXTS)
+def test_parse_rational_agrees_with_fraction(text):
+    assert parse_outcome(text) == fraction_outcome(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/+-_. \u0663\uff15", max_size=9))
+def test_parse_rational_agrees_with_fraction_on_any_text(text):
+    assert parse_outcome(text) == fraction_outcome(text)
+
+
+def test_integers_and_ratios_are_read_without_fraction(monkeypatch):
+    monkeypatch.setattr(cli, "Fraction", None)  # any call would raise
+    assert parse_rational(" 12/8 ", "here") == (12, 8)
+    assert parse_rational("-7", "here") == (-7, 1)
+    assert parse_rational("+0/3", "here") == (0, 3)

@@ -241,9 +241,20 @@ def test_results_are_cached_per_instance_without_changing_equality():
           ("chung", [("s", "1"), ("t", "1"), ("k", "2"), ("l", "2")]),
           ("chung", [("s", "2"), ("t", "3"), ("k", "4"), ("l", "5")]),
           ("c1", []), ("c3", [("a", "5"), ("b", "5")]), ("c6", [])]],
+    (["moments", "--in", "pmf6.json"], "moments6.txt"),
+    (["moments", "--in", "events3x2.csv"], "moments_events3x2.txt"),
+    (["moments", "--in", "events3x2.csv", "--json"],
+     "moments_events3x2.json"),
+    (["invert", "--in", "pmf12.json", "--to", "tails"], "invert12_tails.txt"),
+    # cells given as decimals and unreduced, padded or signed fractions
+    (["invert", "--in", "moments_mixed.json", "--to", "pmf"],
+     "invert_mixed_pmf.txt"),
+    (["invert", "--in", "moments_mixed.json", "--to", "tails"],
+     "invert_mixed_tails.txt"),
 ])
 def test_cli_output_matches_golden(argv, golden, capsys):
-    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    argv = [str(GOLDEN / a) if a.endswith((".json", ".csv")) else a
+            for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 

@@ -1,3 +1,5 @@
+import json
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from bvbounds import (
     EventSystem,
     InstanceSpec,
     JointPMF,
+    MomentMatrix,
+    TailTable,
     binom,
     bonferroni_sums,
     complement_pmf,
@@ -14,8 +18,12 @@ from bvbounds import (
     event_system_from_pmf,
     moments_from_pmf,
     random_instance,
+    tail_table_from_moments,
+    tail_table_from_pmf,
 )
+from bvbounds.cli import load_instance
 from bvbounds.model import SUBSET_CHECK_LIMIT
+from bvbounds.transforms import pmf_grid_from_moments
 
 half = Fraction(1, 2)
 
@@ -155,3 +163,78 @@ class TestComplement:
                     for r in range(l + 1)
                 )
                 assert cm.s[k][l] == expanded
+
+
+class TestHeldGrids:
+    """A grid is held once, as integer numerators over the least common
+    denominator of its entries, so equality and hashing follow the value
+    however the grid was built."""
+
+    # moments of the pmf below: [[1, 1/2], [1/4, 1/8]]
+    PMF = [[Fraction(3, 8), Fraction(3, 8)], [Fraction(1, 8), Fraction(1, 8)]]
+
+    def grids(self, tmp_path):
+        pmf_path = tmp_path / "pmf.json"
+        pmf_path.write_text(json.dumps(
+            {"m": 1, "n": 1, "p": [["6/16", "0.375"], [" 2/16 ", "1/8"]]}))
+        mm_path = tmp_path / "mm.json"
+        mm_path.write_text(json.dumps(
+            {"m": 1, "n": 1, "s": [["3/3", "0.50"], ["2/8", " 125e-3 "]]}))
+        moments = [
+            MomentMatrix(1, 1, [[1, Fraction(1, 2)],
+                                [Fraction(1, 4), Fraction(1, 8)]]),
+            MomentMatrix(1, 1, [["2/2", "4/8"], ["3/12", "0.125"]]),
+            MomentMatrix.from_ints(1, 1, [[24, 12], [6, 3]], 24),
+            moments_from_pmf(JointPMF(1, 1, self.PMF)),
+            moments_from_pmf(load_instance(str(pmf_path))),
+            load_instance(str(mm_path)),
+        ]
+        return load_instance(str(pmf_path)), moments
+
+    def test_equal_values_are_equal_grids(self, tmp_path):
+        pmf, moments = self.grids(tmp_path)
+        assert pmf == JointPMF(1, 1, self.PMF)
+        assert pmf == complement_pmf(complement_pmf(pmf))
+        assert len({hash(mm) for mm in moments}) == 1
+        assert all(mm == moments[0] for mm in moments)
+        assert {mm.den for mm in moments} == {8}
+        tt = tail_table_from_moments(moments[-1])
+        assert tt == tail_table_from_pmf(pmf)
+        assert hash(tt) == hash(tail_table_from_pmf(pmf))
+
+    def test_other_values_or_types_are_unequal(self, tmp_path):
+        _, moments = self.grids(tmp_path)
+        mm = moments[0]
+        assert mm != MomentMatrix(1, 1, [[1, Fraction(1, 2)],
+                                         [Fraction(1, 4), Fraction(1, 9)]])
+        assert mm != MomentMatrix(1, 2, [[1, Fraction(1, 2), 0],
+                                         [Fraction(1, 4), Fraction(1, 8), 0]])
+        assert mm != TailTable(1, 1, mm.s)
+        # equal numerators over different denominators
+        halves = MomentMatrix(1, 1, [[Fraction(1, 2)] * 2] * 2)
+        assert halves != MomentMatrix(1, 1, [[1, 1], [1, 1]])
+        assert MomentMatrix(1, 1, [[0, 0], [0, 0]]) == MomentMatrix.from_ints(
+            1, 1, [[0, 0], [0, 0]], 7)
+
+    def test_kernel_results_build_their_views_when_read(self):
+        pmf = JointPMF(1, 1, self.PMF)
+        assert pmf.p[0][0] is self.PMF[0][0]  # kept, not rebuilt
+        mm = moments_from_pmf(pmf)
+        inverted = pmf_grid_from_moments(mm)
+        tt = tail_table_from_moments(mm)
+        assert "s" not in vars(mm) and "cells" not in vars(inverted)
+        assert "q" not in vars(tt)
+        assert mm.s == ((1, Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 8)))
+        assert inverted.cells == pmf.p
+        assert tt.q == tail_table_from_pmf(pmf).q
+        assert "s" in vars(mm) and "cells" in vars(inverted)
+        assert "q" in vars(tt)
+        assert all(type(x) is Fraction for grid in (mm.s, inverted.cells, tt.q)
+                   for row in grid for x in row)
+
+    def test_grids_are_frozen(self):
+        mm = MomentMatrix(1, 1, [[1, 0], [0, 0]])
+        with pytest.raises(FrozenInstanceError):
+            mm.s = ((1, 1), (1, 1))
+        with pytest.raises(AttributeError):
+            mm.p
