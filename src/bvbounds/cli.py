@@ -23,9 +23,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import gcd
-from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -331,7 +329,8 @@ def cmd_sweep(args, out) -> int:
 
 def _compare_rows(mm: MomentMatrix, u: int, v: int):
     """(label, direction, num, den) of each defined bound on P(S>=u, T>=v),
-    reduced once, and (label, note) of the undefined ones compare reports."""
+    its pair as the sweep holds it (den > 0, not necessarily reduced), and
+    (label, note) of the undefined ones compare reports."""
     rows: List[Tuple[str, str, int, int]] = []
     for table in bnd.tables(mm, u, v):
         labels, direction, cells = table.labels, table.direction, table.cells()
@@ -345,8 +344,7 @@ def _compare_rows(mm: MomentMatrix, u: int, v: int):
                       for l, cell in enumerate(row, l0))
         for depth, (num, den) in depths:
             if den:
-                g = gcd(num, den)
-                rows.extend([(f"{lbl} {depth}", direction, num // g, den // g)
+                rows.extend([(f"{lbl} {depth}", direction, num, den)
                              for lbl in labels])
     if (u, v) != (1, 1):
         return rows, []
@@ -362,29 +360,24 @@ def _compare_rows(mm: MomentMatrix, u: int, v: int):
 
 def _ordered(rows):
     """((numerator, denominator), direction, label, starred) for each
-    (label, direction, numerator, denominator) row of a reduced value, in
-    the order of (exact value, direction, label).  The starred rows hold
-    the best bounds: the greatest lower and the least upper value.
+    (label, direction, numerator, denominator > 0) row, in the order of
+    (exact value, direction, label).  The starred rows hold the best
+    bounds: the greatest lower and the least upper value.
 
-    Each row is keyed by floor(value * 2**64) first, an int that never
-    decreases as the value grows, then by the int pair; only a run of rows
-    whose first keys tie but whose values differ is put in exact order by
-    comparing Fractions."""
-    keyed = []
-    for _, run in groupby(sorted(((num << 64) // den, num, den, direction,
-                                  lbl) for lbl, direction, num, den in rows),
-                          key=itemgetter(0)):
-        run = list(run)
-        if run[0][1:3] != run[-1][1:3]:
-            run.sort(key=lambda row: (Fraction(row[1], row[2]), *row[3:]))
-        keyed.extend(run)
+    Each row is keyed by floor(value * 2**shift), shift = 2 * the bit
+    length of the largest denominator D.  Two distinct values a/b and c/d
+    differ by at least 1/(b d) >= 1/D**2 > 2**-shift, so their keys
+    differ, and equal values share one: the keys order the values exactly."""
+    shift = 2 * max((den for *_, den in rows), default=1).bit_length()
+    keyed = sorted(((num << shift) // den, direction, lbl, num, den)
+                   for lbl, direction, num, den in rows)
     best = {
-        "lower": next((k[1:3] for k in reversed(keyed) if k[3] == "lower"),
+        "lower": next((k[0] for k in reversed(keyed) if k[1] == "lower"),
                       None),
-        "upper": next((k[1:3] for k in keyed if k[3] == "upper"), None),
+        "upper": next((k[0] for k in keyed if k[1] == "upper"), None),
     }
-    return [((num, den), direction, lbl, (num, den) == best[direction])
-            for _, num, den, direction, lbl in keyed]
+    return [((num, den), direction, lbl, key == best[direction])
+            for key, direction, lbl, num, den in keyed]
 
 
 def cmd_compare(args, out) -> int:

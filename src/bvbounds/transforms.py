@@ -59,10 +59,10 @@ def _cell(grid: RationalGrid, coefficients, names: str, i: int, j: int,
 
 def pmf_grid_from_moments(mm: MomentMatrix) -> RationalGrid:
     """Every P(S=u, T=v) recovered from the moment grid (negative where the
-    grid is not the moment grid of a pmf)."""
-    return RationalGrid.from_ints(
-        mm.m, mm.n, *_kernel.product(mm, _kernel.pmf_map)
-    )
+    grid is not the moment grid of a pmf), built once per moment grid."""
+    return _kernel.memo(mm, pmf_grid_from_moments, lambda: (
+        RationalGrid.from_ints(mm.m, mm.n, _kernel.apply(
+            _kernel.pmf_map(mm.m), mm.nums, _kernel.pmf_map(mm.n)), mm.den)))
 
 
 def pmf_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:

@@ -157,6 +157,8 @@ class TestComparisonBounds:
         mm = moments_from_pmf(pmf)
         with pytest.raises(DomainError, match="m - 2a - 1"):
             comparison_bound(mm, "c3", 1, 5)
+        with pytest.raises(DomainError, match="n - 2b - 1"):
+            comparison_bound(mm, "c3", 5, 1)
 
     def test_c3_requires_parameters(self, mm2):
         with pytest.raises(DomainError, match="requires integer"):

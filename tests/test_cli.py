@@ -1,14 +1,17 @@
 import io
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvbounds import cli, oracle
+from bvbounds import bounds as bnd, cli, model, oracle
 from bvbounds.cli import InputError, main, parse_rational
+
+GOLDEN = Path(__file__).parent / "golden"
 
 E2_JSON = {
     "m": 2,
@@ -187,6 +190,22 @@ class TestCompare:
         assert "c1" in out and "c6" in out
         assert "*best lower*" in out and "*best upper*" in out
 
+    def test_neighbours_with_large_denominators_stay_apart(self):
+        # (N-1)/N < N/(N+1) differ by 1/(N (N+1)), about 2**-634: rows
+        # keyed to fewer bits than twice the denominators' would tie, and
+        # the "lower" rows would sort first.  Unreduced pairs keep their
+        # values, and equal values share the best-bound star.
+        big = 3**200
+        rows = [("d", "lower", 2 * big, 2 * big + 2),
+                ("a", "lower", big, big + 1),
+                ("b", "upper", 2 * (big - 1), 2 * big),
+                ("c", "upper", 2, 2)]
+        assert cli._ordered(rows) == [
+            ((2 * (big - 1), 2 * big), "upper", "b", True),
+            ((big, big + 1), "lower", "a", True),
+            ((2 * big, 2 * big + 2), "lower", "d", True),
+            ((2, 2), "upper", "c", False)]
+
     def test_byte_stable(self, e2_file, capsys):
         _, first, _ = run(
             ["compare", "--in", e2_file, "--u", "1", "--v", "1"], capsys
@@ -266,6 +285,26 @@ class TestValidate:
         assert status == 0
         assert out == json.dumps(real(expected, props).to_dict(),
                                  indent=2) + "\n"
+
+    def test_plain_text_failure_listing(self, capsys, monkeypatch):
+        # the planted chung_bound fault of test_planted_fault_failure_records
+        real = bnd.chung_bound
+
+        def planted(*args):
+            bound = real(*args)
+            return replace(bound, value=bound.value + 1)
+
+        monkeypatch.setattr(bnd, "chung_bound", planted)
+        argv = ["validate", "--trials", "9", "--mmax", "3", "--nmax", "3"]
+        status, out, err = run(argv, capsys)
+        _, doc, _ = run(argv + ["--json"], capsys)
+        failures = json.loads(doc)["failures"]
+        assert (status, err) == (2, "") and len(failures) > 50
+        lines = out.splitlines()
+        assert lines[:2] == ["trials: 9", f"failures: {len(failures)}"]
+        assert lines[2:] == [
+            f"  {f['property']} {f['params']} lhs={f['lhs']} rhs={f['rhs']} "
+            f"spec={f['spec']}" for f in failures[:50]]
 
 
 class TestErrors:
@@ -450,6 +489,61 @@ class TestInputChecks:
                              capsys)
         assert status == 0
         assert json.loads(out)["p"] == [["0", "0"], ["0", "1"]]
+
+    @pytest.mark.parametrize("grid", ["p", "s"])
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 1, "G": [["1", "0"]] * 2}, "missing key 'm'"),
+        ({"m": 1, "G": [["1", "0"]] * 2}, "missing key 'n'"),
+        ({"m": 1, "n": 1, "G": [["1", "0"]]}, "'G' must have 2 rows"),
+        ({"m": 1, "n": 1, "G": "10"}, "'G' must have 2 rows"),
+        ({"m": 1, "n": 1, "G": [["1", "0"], ["0"]]},
+         "row 1 must have 2 entries"),
+        ({"m": 1, "n": 1, "G": [["1", "0"], "00"]},
+         "row 1 must have 2 entries"),
+    ])
+    def test_grid_json_errors(self, tmp_path, capsys, grid, doc, message):
+        # "G" stands for the grid's key
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"G"', f'"{grid}"'))
+        status, out, err = run(["invert", "--in", str(path), "--to", "pmf"],
+                               capsys)
+        assert (status, out) == (1, "")
+        assert err == f"error: {path}: {message.replace('G', grid)}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("weight,A1,B1\n\n1,1\n", "line 3: expected 3 cells"),
+        ("weight,A1,B1\n\n1,1,0,0\n", "line 3: expected 3 cells"),
+        ("weight,A1,B1\n-1/2,1,0\n3/2,0,0\n",
+         "atom weights must be nonnegative"),
+        ("", "empty file"),
+    ])
+    def test_event_csv_errors(self, tmp_path, capsys, text, message):
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        status, out, err = run(["moments", "--in", str(path)], capsys)
+        assert (status, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
+
+    def test_event_csv_blank_lines_are_skipped(self, tmp_path, capsys):
+        path = tmp_path / "events.csv"
+        path.write_text("weight,A1,B1\n\n1/2,1,1\n\n1/2,0,1\n\n")
+        status, out, _ = run(["moments", "--in", str(path), "--json"], capsys)
+        assert status == 0
+        assert json.loads(out)["s"] == [["1", "1"], ["1/2", "1/2"]]
+
+
+def test_invert_to_pmf_builds_the_pmf_once(monkeypatch, capsys):
+    held, hold = [], model.RationalGrid._hold
+
+    def counting(self, *args):
+        held.append(type(self))
+        hold(self, *args)
+
+    monkeypatch.setattr(model.RationalGrid, "_hold", counting)
+    argv = ["invert", "--in", str(GOLDEN / "moments6.json"), "--to", "pmf"]
+    status, out, _ = run(argv, capsys)
+    assert status == 0 and out == (GOLDEN / "invert_pmf.txt").read_text()
+    assert held == [model.MomentMatrix, model.RationalGrid]
 
 
 # Texts on which parse_rational must agree with Fraction; "3 / 4" and "3/+4"

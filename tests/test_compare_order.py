@@ -21,7 +21,8 @@ def compare_rows(draw):
         min_size=1, max_size=4,
     ))
     pool = [b + d for b in bases
-            for d in (0, TINY, -TINY, Fraction(1, 2**64))]
+            for d in (0, TINY, -TINY, Fraction(1, 2**64),
+                      Fraction(1, 3**200))]
     rows = draw(st.lists(
         st.tuples(
             st.sampled_from(["chung k=1 l=2", "chung k=10 l=2", "c1",

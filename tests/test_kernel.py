@@ -251,6 +251,9 @@ def test_results_are_cached_per_instance_without_changing_equality():
      "invert_mixed_pmf.txt"),
     (["invert", "--in", "moments_mixed.json", "--to", "tails"],
      "invert_mixed_tails.txt"),
+    # cells of up to 40 decimal digits with exponent -40
+    (["compare", "--in", "pmf5_decimal.json", "--u", "2", "--v", "2"],
+     "compare5_decimal_u2_v2.txt"),
 ])
 def test_cli_output_matches_golden(argv, golden, capsys):
     argv = [str(GOLDEN / a) if a.endswith((".json", ".csv")) else a

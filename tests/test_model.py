@@ -38,6 +38,36 @@ def test_pmf_rejects_negative_mass():
         JointPMF(1, 1, [[Fraction(3, 2), 0], [0, -half]])
 
 
+@pytest.mark.parametrize("cls, m, n, rows, message", [
+    (JointPMF, 0, 1, [[1, 0]], r"JointPMF requires m >= 1 and n >= 1"),
+    (TailTable, 1, 0, [[1], [0]], r"TailTable requires m >= 1 and n >= 1"),
+    (MomentMatrix, -1, 0, [], r"MomentMatrix requires m >= 0 and n >= 0"),
+    (JointPMF, 1, 1, [[1, 0]], r"pmf grid must be \(2\)x\(2\)"),
+    (MomentMatrix, 1, 1, [[1, 0], [0]], r"moment grid must be \(2\)x\(2\)"),
+    (TailTable, 1, 2, [[1, 0], [0, 0]], r"tail grid must be \(2\)x\(3\)"),
+])
+def test_grid_extent_and_shape_errors(cls, m, n, rows, message):
+    with pytest.raises(DomainError, match=message):
+        cls(m, n, rows)
+    with pytest.raises(DomainError, match=message):
+        cls.from_ints(m, n, rows, 1)
+
+
+@pytest.mark.parametrize("m, n, atoms, message", [
+    (0, 1, [(1, (), (1,))], "requires m >= 1 and n >= 1"),
+    (1, 0, [(1, (1,), ())], "requires m >= 1 and n >= 1"),
+    (1, 1, [(-half, (1,), (0,)), (Fraction(3, 2), (0,), (0,))],
+     "weights must be nonnegative"),
+    (1, 1, [(1, (1, 0), (0,))], "indicator lengths must match"),
+    (1, 1, [(1, (1,), ())], "indicator lengths must match"),
+    (1, 1, [(1, (2,), (0,))], "indicators must be 0/1"),
+    (1, 1, [(half, (1,), (0,))], "weights must sum to 1 exactly, got 1/2"),
+])
+def test_event_system_errors(m, n, atoms, message):
+    with pytest.raises(DomainError, match=message):
+        EventSystem(m, n, tuple(atoms))
+
+
 def test_moments_of_point_mass():
     pmf = JointPMF(2, 3, [[0] * 4, [0] * 4, [0, 0, 0, 1]])
     mm = moments_from_pmf(pmf)
@@ -231,6 +261,12 @@ class TestHeldGrids:
         assert "q" in vars(tt)
         assert all(type(x) is Fraction for grid in (mm.s, inverted.cells, tt.q)
                    for row in grid for x in row)
+
+    def test_kernel_results_are_held_once(self):
+        pmf = JointPMF(1, 1, self.PMF)
+        mm = moments_from_pmf(pmf)
+        assert "_kernel_memo" not in vars(pmf)
+        assert pmf_grid_from_moments(mm) is pmf_grid_from_moments(mm)
 
     def test_grids_are_frozen(self):
         mm = MomentMatrix(1, 1, [[1, 0], [0, 0]])

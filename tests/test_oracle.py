@@ -25,6 +25,11 @@ class TestInstanceSpec:
         with pytest.raises(DomainError):
             InstanceSpec(0, 2, 2, "gaussian")
 
+    @pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (-1, 1)])
+    def test_dimensions_checked(self, m, n):
+        with pytest.raises(DomainError, match="dimensions must be >= 1"):
+            InstanceSpec(0, m, n)
+
     def test_event_system_needs_atoms(self):
         with pytest.raises(DomainError):
             InstanceSpec(0, 2, 2, "event_system")
