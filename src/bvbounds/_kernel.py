@@ -8,9 +8,9 @@ its `Fraction` view only when that is read; both passes of the product run
 on the numerators, and the result is returned as ints over the same
 denominator, from which the callers build their grids or single values.
 
-Results are memoised per instance in the frozen object's `__dict__`, which
-grid equality and hashing never look at.  The brute-force oracle must not
-use anything from this module: it checks the kernel.
+A product read more than once is memoised once per grid, in one form, in
+the frozen object's `__dict__`, which grid equality and hashing ignore.  The
+brute-force oracle must not use this module: it checks the kernel.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ def apply(left: Matrix, nums: Sequence[Sequence[int]],
     return [[sum(map(mul, l, c)) for c in cols] for l in left]
 
 
-def product(grid,
-            coefficients: Callable[[int], Matrix]) -> Tuple[IntGrid, int]:
-    """(numerators of coefficients(m) . grid . coefficients(n)^T, grid.den)
-    for a grid with extents m and n, computed once per (grid,
-    coefficients)."""
-    return memo(grid, coefficients, lambda: (
-        apply(coefficients(grid.m), grid.nums, coefficients(grid.n)),
+def chung_product(grid, s: int, t: int) -> Tuple[IntGrid, int]:
+    """(numerators of chung_map(m, s)[s:] . grid . chung_map(n, t)[t:]^T,
+    grid.den), once per (grid, s, t).  At (1, 1) it is also A . s . B^T of
+    the complementary moments: A = -chung_map(m, 1), and the signs cancel."""
+    return memo(grid, (chung_map, s, t), lambda: (
+        apply(chung_map(grid.m, s)[s:], grid.nums, chung_map(grid.n, t)[t:]),
         grid.den))
 
 
@@ -86,14 +85,6 @@ def tails_inverse_map(m: int) -> Matrix:
     tails -> binomial moments."""
     return _square(m, lambda i, u: int(u == 0) if i == 0 else
                    comb(u - 1, i - 1) if u else 0)
-
-
-@lru_cache(maxsize=128)
-def complement_map(m: int) -> Matrix:
-    """[k][s] = (-1)^s C(m-s, k-s) for 1 <= s <= k: the moment part of the
-    complementary moment."""
-    return _square(m, lambda k, s: (-1) ** s * comb(m - s, k - s)
-                   if 1 <= s <= k else 0)
 
 
 @lru_cache(maxsize=128)

@@ -15,11 +15,12 @@ Families:
 Each bound of the first four families is an integer numerator over an
 integer denominator.  A *sweep*, computed once per grid, family and target,
 holds the (numerator, denominator) ints of every legal depth (k, l), or k
-for Bonferroni, read off the memoised kernel products (complementary part,
-Chung numerators, Bonferroni anti-diagonal prefix); a denominator of 0
-marks an undefined bound.  The per-bound functions are thin readers of one
-cell.  The Frechet and Gumbel families are the type pair at target (1, 1),
-since C(m,k) - C(m-1,k) = C(m-1,k-1).
+for Bonferroni, read off one memoised kernel product (the Chung numerators
+of the target, or at (1, 1) for the type pair) or the Bonferroni
+anti-diagonal prefix; a denominator of 0 marks an undefined bound.  The
+per-bound functions are thin readers of one cell.  The Frechet and Gumbel
+families are the type pair at target (1, 1), and Gumbel is Chung at (1, 1):
+both hold the same unreduced pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
 
 `tables(mm, u, v)` is the one statement of each swept family's label(s),
 direction, first depth and sweep at a target, the Frechet/Gumbel alias too.
@@ -38,7 +39,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from . import _kernel
 from .combinatorics import DomainError
 from .model import MomentMatrix
-from .transforms import _check_range, complementary_part
+from .transforms import _check_range
 
 LOWER = "lower"
 UPPER = "upper"
@@ -113,15 +114,14 @@ def type_sweep(mm: MomentMatrix, s: int,
                 / ((C(m,k) - C(m-s,k)) (C(n,l) - C(n-t,l)))
 
     Over the grid's common denominator, Sbar_{k,l} = C(m,k)C(n,l) -
-    part[k][l], so part[k][l] is the upper numerator."""
+    part[k-1][l-1], so the Chung numerator at (1, 1) is the upper one."""
     _check_range("s", s, 1, mm.m)
     _check_range("t", t, 1, mm.n)
     m, n = mm.m, mm.n
     ks, ls = range(1, m + 1), range(1, n + 1)
 
     def compute():
-        part, den = complementary_part(mm)
-        part = [row[1:] for row in part[1:]]
+        part, den = _kernel.chung_product(mm, 1, 1)
         full_a = [comb(m, k) * den for k in ks]
         full_b = [comb(n, l) for l in ls]
         lo_a = [comb(m - s + 1, k) * den for k in ks]
@@ -147,11 +147,9 @@ def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
     m, n = mm.m, mm.n
 
     def compute():
-        return _grid(
-            _kernel.apply(_kernel.chung_map(m, s)[s:], mm.nums,
-                          _kernel.chung_map(n, t)[t:]),
-            [comb(m - s, k - s) * mm.den for k in range(s, m + 1)],
-            [comb(n - t, l - t) for l in range(t, n + 1)])
+        nums, den = _kernel.chung_product(mm, s, t)
+        return _grid(nums, [comb(m - s, k - s) * den for k in range(s, m + 1)],
+                     [comb(n - t, l - t) for l in range(t, n + 1)])
 
     return _kernel.memo(mm, ("chung", s, t), compute)
 

@@ -6,8 +6,8 @@ Input formats:
   * moment JSON: {"m": int, "n": int, "s": [[rational-string]]}; the grid
     must be feasible: s[0][0] = 1 and the pmf it inverts to nonnegative.
   * event CSV: header exactly "weight,A1..Am,B1..Bn", one atom per row.
-m and n may be at most DIMENSION_LIMIT, and a decimal exponent at most
-EXPONENT_LIMIT in absolute value.
+m, n, --mmax and --nmax may be at most DIMENSION_LIMIT, and a decimal
+exponent at most EXPONENT_LIMIT in absolute value.
 
 Exit status: 0 success, 1 usage/parse error, 2 property violation found by
 `validate` or `sweep`.
@@ -50,8 +50,8 @@ class InputError(Exception):
 # bounded by CPython's limit of 4300 digits on int().
 EXPONENT_LIMIT = 1000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
-# Largest m or n of an input: `compare` at m = n = 128 takes about 3 s and
-# 140 MB, and its cost grows about as m**3.
+# Largest m or n of an input or of `validate`: `compare` at m = n = 128
+# takes about 3 s and 140 MB, and its cost grows about as m**3.
 DIMENSION_LIMIT = 128
 
 
@@ -407,9 +407,10 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
-    for flag in ("mmax", "nmax"):
-        if getattr(args, flag) < 1:
-            raise InputError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    for flag, value in (("mmax", args.mmax), ("nmax", args.nmax)):
+        if value < 1:
+            raise InputError(f"--{flag} must be >= 1, got {value}")
+        _check_dimension(value, f"--{flag}")
     if args.trials < 0:
         raise InputError(f"--trials must be >= 0, got {args.trials}")
     if args.properties == []:

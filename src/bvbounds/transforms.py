@@ -11,19 +11,18 @@ valid for u, v >= 1.  Boundary indices (u = 0 or v = 0) reduce to the
 univariate versions on the marginals, since P(S>=0, T>=v) = P(T>=v).
 
 Each of these maps, and the complementary moments, is L . s . R^T with
-triangular binomial matrices L and R.  The private `_kernel` module
-evaluates them once per grid on the grid's own integer numerators; a grid
-result is built straight from the ints, its `Fraction` view left unbuilt
-until read, and a single value is one `Fraction`.  The brute-force oracle
-never uses that kernel, so that it checks these results by independent
-routes.
+triangular binomial matrices L and R, evaluated by the private `_kernel`
+module on the grid's integer numerators.  Each inversion is memoised once
+per grid, as a grid with its corner set, that the per-cell functions read
+one cell of.  The brute-force oracle never uses that kernel, so that it
+checks these results by independent routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from . import _kernel
 from .combinatorics import DomainError, Rational
@@ -45,29 +44,42 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise DomainError(f"{name}={value} outside [{lo}, {hi}]")
 
 
-def _cell(grid: RationalGrid, coefficients, names: str, i: int, j: int,
-          corner: bool) -> Fraction:
-    """Cell (i, j), checked in range and named by `names`, of the kernel
-    product of grid by coefficients; 1 at (0, 0) if `corner`."""
+# The tail maps pin the corner: P(S>=0, T>=0) = 1 and s[0][0] = 1 whatever
+# the grid they map holds there.
+_CORNER_ONE = (_kernel.tails_map, _kernel.tails_inverse_map)
+
+
+def _inverse(grid: RationalGrid, coefficients) -> RationalGrid:
+    """coefficients(m) . grid . coefficients(n)^T, 1 at (0, 0) for the tail
+    maps, as a grid of least extent 0, built once per (grid, coefficients)."""
+    def compute():
+        nums = _kernel.apply(coefficients(grid.m), grid.nums,
+                             coefficients(grid.n))
+        if coefficients in _CORNER_ONE:
+            nums[0][0] = grid.den
+        return RationalGrid.from_ints(grid.m, grid.n, nums, grid.den)
+
+    return _kernel.memo(grid, coefficients, compute)
+
+
+def _cell(grid: RationalGrid, coefficients, names: str, i: int,
+          j: int) -> Fraction:
+    """Cell (i, j), checked in range and named by `names`, of the inversion."""
     _check_range(names[0], i, 0, grid.m)
     _check_range(names[1], j, 0, grid.n)
-    if corner and i == j == 0:
-        return Fraction(1)
-    nums, den = _kernel.product(grid, coefficients)
-    return Fraction(nums[i][j], den)
+    held = _inverse(grid, coefficients)
+    return Fraction(held.nums[i][j], held.den)
 
 
 def pmf_grid_from_moments(mm: MomentMatrix) -> RationalGrid:
     """Every P(S=u, T=v) recovered from the moment grid (negative where the
     grid is not the moment grid of a pmf), built once per moment grid."""
-    return _kernel.memo(mm, pmf_grid_from_moments, lambda: (
-        RationalGrid.from_ints(mm.m, mm.n, _kernel.apply(
-            _kernel.pmf_map(mm.m), mm.nums, _kernel.pmf_map(mm.n)), mm.den)))
+    return _inverse(mm, _kernel.pmf_map)
 
 
 def pmf_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
     """P(S=u, T=v) recovered from the moment grid."""
-    return _cell(mm, _kernel.pmf_map, "uv", u, v, False)
+    return _cell(mm, _kernel.pmf_map, "uv", u, v)
 
 
 def tails_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
@@ -77,21 +89,21 @@ def tails_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
     bivariate coefficient C(i-1, u-1) is only meaningful for u >= 1.
     P(S>=0, T>=0) is 1 whatever s[0][0] holds.
     """
-    return _cell(mm, _kernel.tails_map, "uv", u, v, True)
+    return _cell(mm, _kernel.tails_map, "uv", u, v)
 
 
 def tail_table_from_moments(mm: MomentMatrix) -> TailTable:
-    """Every P(S>=u, T>=v) recovered from the moment grid, q[0][0] = 1."""
-    nums, den = _kernel.product(mm, _kernel.tails_map)
-    return TailTable.from_ints(mm.m, mm.n, [[den, *nums[0][1:]], *nums[1:]],
-                               den)
+    """Every P(S>=u, T>=v) recovered from the moment grid, q[0][0] = 1; the
+    memoised tail grid it copies may have extent 0, unlike a TailTable."""
+    held = _inverse(mm, _kernel.tails_map)
+    return TailTable.from_ints(mm.m, mm.n, held.nums, held.den)
 
 
 def moments_from_tails(tt: TailTable, i: int, j: int) -> Fraction:
     """Binomial moment s[i][j] recovered from the tail grid; inverse of
     tails_from_moments.  i = 0 or j = 0 use the univariate marginal form;
     s[0][0] is 1 whatever q[0][0] holds."""
-    return _cell(tt, _kernel.tails_inverse_map, "ij", i, j, True)
+    return _cell(tt, _kernel.tails_inverse_map, "ij", i, j)
 
 
 def _poly_eval(grid: RationalGrid, t: Rational, s: Rational) -> Fraction:
@@ -129,13 +141,6 @@ def pgf_identity_holds(
     )
 
 
-def complementary_part(mm: MomentMatrix) -> Tuple[_kernel.IntGrid, int]:
-    """(numerators of A . s . B^T, common denominator), the moment part of
-    every complementary moment (see `complementary_moment`), computed once
-    per grid."""
-    return _kernel.product(mm, _kernel.complement_map)
-
-
 def complementary_moment(mm: MomentMatrix, k: int, l: int) -> Fraction:
     """The complementary moment
 
@@ -144,8 +149,11 @@ def complementary_moment(mm: MomentMatrix, k: int, l: int) -> Fraction:
     expressed as a linear combination of the moment grid:
 
         Sbar[k][l] = C(m,k) C(n,l) - (A . s . B^T)[k][l],
-        A[k][i] = (-1)^i C(m-i, k-i) for 1 <= i <= k, B likewise in n."""
+        A[k][i] = (-1)^i C(m-i, k-i) for 1 <= i <= k, B likewise in n;
+
+    A . s . B^T is the Chung numerator product at (1, 1)."""
     _check_range("k", k, 1, mm.m)
     _check_range("l", l, 1, mm.n)
-    part, den = complementary_part(mm)
-    return Fraction(comb(mm.m, k) * comb(mm.n, l) * den - part[k][l], den)
+    part, den = _kernel.chung_product(mm, 1, 1)
+    return Fraction(comb(mm.m, k) * comb(mm.n, l) * den - part[k - 1][l - 1],
+                    den)

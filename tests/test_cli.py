@@ -429,6 +429,17 @@ class TestErrors:
         assert status == 1 and out == ""
         assert err.startswith(f"error: {flag} must be >= 1")
 
+    @pytest.mark.parametrize("flag", ["--mmax", "--nmax"])
+    def test_validate_dimension_above_the_limit(self, capsys, flag):
+        # --trials 0: a missing check cannot start a large run
+        status, out, err = run(["validate", "--trials", "0", flag, "129"],
+                               capsys)
+        assert status == 1 and out == ""
+        assert err == f"error: {flag} is 129, above the limit of 128\n"
+        status, out, err = run(["validate", "--trials", "0", flag, "128"],
+                               capsys)
+        assert (status, out, err) == (0, "trials: 0\nfailures: 0\n", "")
+
 
 @pytest.mark.parametrize("grid", [
     {"m": 1, "n": 1, "p": [["1/2", "0"], ["0", "1/2"]]},

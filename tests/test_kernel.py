@@ -201,6 +201,27 @@ def test_results_are_cached_per_instance_without_changing_equality():
     assert mm == fresh and hash(mm) == hash(fresh)
 
 
+def count_products(monkeypatch):
+    """A list that gains one entry for each `_kernel.apply` call from now."""
+    calls, apply = [], bvbounds._kernel.apply
+    monkeypatch.setattr(bvbounds._kernel, "apply",
+                        lambda *args: calls.append(args) or apply(*args))
+    return calls
+
+
+@pytest.mark.parametrize("u, v, products", [("1", "1", 2), ("2", "3", 3)])
+def test_compare_makes_each_product_once(u, v, products, monkeypatch,
+                                         capsys):
+    # the moments, the Chung numerators at (1, 1), which the type bounds
+    # and the Chung bounds at (1, 1) share, and those at any other target
+    calls = count_products(monkeypatch)
+    assert main(["compare", "--in", str(GOLDEN / "pmf6.json"),
+                 "--u", u, "--v", v]) == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / f"compare_u{u}_v{v}.txt").read_text()
+    assert len(calls) == products
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["compare", "--in", "pmf6.json", "--u", "1", "--v", "1"],
      "compare_u1_v1.txt"),

@@ -17,13 +17,16 @@ from bvbounds import (
     counting_pmf,
     event_system_from_pmf,
     moments_from_pmf,
+    pmf_from_moments,
     random_instance,
     tail_table_from_moments,
     tail_table_from_pmf,
+    tails_from_moments,
 )
 from bvbounds.cli import load_instance
 from bvbounds.model import SUBSET_CHECK_LIMIT
 from bvbounds.transforms import pmf_grid_from_moments
+from test_kernel import count_products
 
 half = Fraction(1, 2)
 
@@ -262,11 +265,22 @@ class TestHeldGrids:
         assert all(type(x) is Fraction for grid in (mm.s, inverted.cells, tt.q)
                    for row in grid for x in row)
 
-    def test_kernel_results_are_held_once(self):
+    def test_kernel_results_are_held_once(self, monkeypatch):
         pmf = JointPMF(1, 1, self.PMF)
         mm = moments_from_pmf(pmf)
         assert "_kernel_memo" not in vars(pmf)
         assert pmf_grid_from_moments(mm) is pmf_grid_from_moments(mm)
+        # a cell and the whole grid of one inversion share one product
+        calls = count_products(monkeypatch)
+        for cell, grid in ((pmf_from_moments, pmf_grid_from_moments),
+                           (tails_from_moments, tail_table_from_moments)):
+            fresh = MomentMatrix(1, 1, mm.s)
+            calls.clear()
+            held = grid(fresh)
+            assert [[cell(fresh, u, v) for v in range(2)] for u in range(2)] \
+                == [[Fraction(x, held.den) for x in row] for row in held.nums]
+            assert grid(fresh) == held
+            assert len(calls) == 1
 
     def test_grids_are_frozen(self):
         mm = MomentMatrix(1, 1, [[1, 0], [0, 0]])

@@ -54,10 +54,13 @@ def test_type_sweep(mm):
 @given(moment_matrices(lo=1))
 def test_frechet_and_gumbel_are_the_type_sweep_at_one_one(mm):
     lower, upper = type_sweep(mm, 1, 1)
+    chung = chung_sweep(mm, 1, 1)
     for k in range(1, mm.m + 1):
         for l in range(1, mm.n + 1):
             assert value(lower[k - 1][l - 1]) == ref.frechet_lower(mm, k, l)
             assert value(upper[k - 1][l - 1]) == ref.gumbel_upper(mm, k, l)
+            # Gumbel is Chung at (1, 1), down to the unreduced int pair
+            assert upper[k - 1][l - 1] == chung[k - 1][l - 1]
 
 
 @sweep_settings
@@ -114,7 +117,7 @@ def test_target_out_of_range(sweep, target, message):
 def test_oracle_does_not_read_the_sweeps():
     # The oracle checks the bound functions; it must not share their sweeps.
     sweeps = {"bonferroni_sweep", "chung_sweep", "type_sweep",
-              "complementary_part", "tables"}
+              "complementary_part", "chung_product", "tables"}
     tree = ast.parse((Path(bvbounds.__file__).parent / "oracle.py")
                      .read_text())
     names = set()
