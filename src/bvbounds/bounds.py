@@ -18,9 +18,11 @@ holds the (numerator, denominator) ints of every legal depth (k, l), or k
 for Bonferroni, read off one memoised kernel product (the Chung numerators
 of the target, or at (1, 1) for the type pair) or the Bonferroni
 anti-diagonal prefix; a denominator of 0 marks an undefined bound.  The
-per-bound functions are thin readers of one cell.  The Frechet and Gumbel
-families are the type pair at target (1, 1), and Gumbel is Chung at (1, 1):
-both hold the same unreduced pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
+per-bound functions are thin readers of one cell: the `BoundValue` they
+return holds the cell as its `pair` and builds its `Fraction` only when
+`value` is read.  The Frechet and Gumbel families are the type pair at
+target (1, 1), and Gumbel is Chung at (1, 1): both hold the same unreduced
+pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
 
 `tables(mm, u, v)` is the one statement of each swept family's label(s),
 direction, first depth and sweep at a target, the Frechet/Gumbel alias too.
@@ -51,29 +53,48 @@ PairGrid = List[List[Pair]]  # [i][j]: depth (first k + i, first l + j)
 @dataclass(frozen=True)
 class BoundValue:
     """A computed bound: value (None when undefined), direction, family,
-    and the parameters it was evaluated at."""
+    and the parameters it was evaluated at.
+
+    `pair` is the value as (numerator, denominator > 0), not necessarily
+    reduced, or (0, 0) when undefined.  A bound read off a sweep holds only
+    the pair and builds `value` when it is first read; one constructed with
+    a value takes its pair from it."""
 
     value: Optional[Fraction]
     direction: str
     family: str
     params: Dict[str, int] = field(default_factory=dict)
     note: Optional[str] = None
+    pair: Pair = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        value = self.value
+        object.__setattr__(self, "pair", (0, 0) if value is None
+                           else (value.numerator, value.denominator))
+
+    def __getattr__(self, name: str):  # reached only while value is unbuilt
+        if name != "value" or "pair" not in vars(self):
+            raise AttributeError(name)
+        value = self.__dict__["value"] = Fraction(*self.pair)
+        return value
 
     @property
     def defined(self) -> bool:
-        return self.value is not None
+        return self.pair[1] != 0
 
 
 def _ratio(cell: Pair, direction: str, family: str,
            params: Dict[str, int]) -> BoundValue:
     """The bound in a sweep cell, undefined when its denominator is 0."""
-    num, denom = cell
-    if denom == 0:
+    if cell[1] == 0:
         return BoundValue(
             None, direction, family, params,
             note="bound undefined for these parameters (zero denominator)",
         )
-    return BoundValue(Fraction(num, denom), direction, family, params)
+    bound = object.__new__(BoundValue)
+    bound.__dict__.update(pair=cell, direction=direction, family=family,
+                          params=params, note=None)
+    return bound
 
 
 def _grid(nums, a, b) -> PairGrid:

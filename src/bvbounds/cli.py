@@ -308,10 +308,11 @@ def cmd_sweep(args, out) -> int:
                   if fam in t.labels), None)
     if table is None:
         raise InputError(f"--family {fam} targets u=1, v=1 only")
-    grid = [[Fraction(*cell) for cell in row] for row in table.cells()]
+    grid = table.cells()
     print(f"{fam} sweep over (k, l):", file=out)
     for row in grid:
-        print("  " + "  ".join(map(str, row)), file=out)
+        print("  " + "  ".join(str(Fraction(*cell)) for cell in row),
+              file=out)
     # by cell, then axis; an axis's monotonicity check precedes its curvature
     failures = sorted(oracle.shape_failures(fam, grid, table.first),
                       key=lambda f: (f.params["k"], f.params["l"],
@@ -354,7 +355,7 @@ def _compare_rows(mm: MomentMatrix, u: int, v: int):
                        (f"c3 a={mm.m - 1} b={mm.n - 1}",
                         ("c3", mm.m - 1, mm.n - 1))):
         b = bnd.comparison_bound(mm, *which)
-        rows.append((lbl, b.direction, b.value.numerator, b.value.denominator))
+        rows.append((lbl, b.direction, *b.pair))
     return rows, []
 
 

@@ -5,19 +5,27 @@ summation, never through the moment machinery, so a disagreement between
 this module and the transform/bound formulas is a genuine bug on the
 formula side.
 
-The tail table comes from two-dimensional suffix sums of the pmf,
-q[u][v] = p[u][v] + q[u+1][v] + q[u][v+1] - q[u+1][v+1], in O(mn);
+The pmf is summed on integers: its cells as weights over the lcm of their
+denominators, which this module computes from the cells themselves.  The
+tail table comes from two-dimensional suffix sums of those weights,
+q[u][v] = w[u][v] + q[u+1][v] + q[u][v+1] - q[u+1][v+1], in O(mn);
 `exact_tail` keeps the literal sum over the orthant for a single target.
 
 Each trial of `validate` builds one context (`_Trial`) that every property
-reads: the pmf, its moment grid from `model.moments_from_pmf` and its tail
-table, the last two built on first use.  The context lives for one trial
-only, so nothing is cached across instances.
+reads: the pmf and its weights, and, built on first use, the suffix sums,
+the moment grid from `model.moments_from_pmf` and the tail table.  The
+context lives for one trial only, so nothing is cached across instances.
+
+A bound is compared through its `BoundValue.pair`: the recorder's `le` and
+`eq` compare a/b with c/d by cross-multiplication (both denominators are
+positive), and build the `Fraction`s of a `Failure` only when a check
+fails.
 
 `RISING` states the shape theorem of each swept family once.
-`check_shape` checks it for the `*_shape` properties, which read the bounds
-one cell at a time (never `bounds.tables` or a sweep), and `shape_failures`
-gives the CLI's `sweep` the checks a table fails.
+`check_shape` checks it on a grid of pairs for the `*_shape` properties,
+which read the bounds one cell at a time (never `bounds.tables` or a
+sweep), and `shape_failures` gives the CLI's `sweep` the checks a table
+fails.
 """
 
 from __future__ import annotations
@@ -27,11 +35,12 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import comb, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from . import bounds as bnd
 from . import model, transforms
-from .combinatorics import DomainError, binom
+from .combinatorics import DomainError
 from .model import EventSystem, JointPMF
 from .transforms import TailTable
 
@@ -158,16 +167,30 @@ def exact_tail(pmf: JointPMF, u: int, v: int) -> Fraction:
     ))
 
 
+def _over_lcm(rows) -> Tuple[List[List[int]], int]:
+    """(ints, d) with rows[i][j] = ints[i][j] / d, for rows of Fractions
+    and d the lcm of their denominators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in rows], d
+
+
+def _suffix_sums(weights: List[List[int]]) -> List[List[int]]:
+    """q[u][v] = sum of weights[i][j] over i >= u, j >= v."""
+    cols = len(weights[0])
+    q = [[0] * (cols + 1) for _ in range(len(weights) + 1)]
+    for u in range(len(weights) - 1, -1, -1):
+        row, below, here = weights[u], q[u + 1], q[u]
+        for v in range(cols - 1, -1, -1):
+            here[v] = row[v] + below[v] + here[v + 1] - below[v + 1]
+    return [row[:cols] for row in q[:-1]]
+
+
 def tail_table_from_pmf(pmf: JointPMF) -> TailTable:
     """Full tail grid by two-dimensional suffix sums; independent of the
     moment route."""
-    m, n = pmf.m, pmf.n
-    q = [[Fraction(0)] * (n + 2) for _ in range(m + 2)]
-    for u in range(m, -1, -1):
-        for v in range(n, -1, -1):
-            q[u][v] = (pmf.p[u][v] + q[u + 1][v] + q[u][v + 1]
-                       - q[u + 1][v + 1])
-    return TailTable(m, n, [row[:n + 1] for row in q[:m + 1]])
+    weights, total = _over_lcm(pmf.p)
+    return TailTable.from_ints(pmf.m, pmf.n, _suffix_sums(weights), total)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +201,30 @@ def tail_table_from_pmf(pmf: JointPMF) -> TailTable:
 RISING = {"frechet": True, "gumbel": False, "chung": False}
 
 
+def _pair(x: Fraction) -> bnd.Pair:
+    return x.numerator, x.denominator
+
+
 class _Trial:
     """One trial's instance and the exact data its properties share: the
-    pmf (for an event system, its counting pmf), and the moment grid and
-    tail table of that pmf, each built on first use."""
+    pmf (for an event system, its counting pmf) as integer `weights` over
+    `total`, the lcm of its denominators, and, each built on first use, the
+    integer suffix sums `tails` over `total`, the moment grid of that pmf
+    and its tail table."""
 
     def __init__(self, instance: Union[JointPMF, EventSystem]):
         is_es = isinstance(instance, EventSystem)
         self.es = instance if is_es else None
         self.pmf = model.counting_pmf(instance) if is_es else instance
+        self.weights, self.total = _over_lcm(self.pmf.p)
+
+    @cached_property
+    def tails(self) -> List[List[int]]:
+        return _suffix_sums(self.weights)
+
+    def tail(self, u: int, v: int) -> bnd.Pair:
+        """P(S>=u, T>=v) as a pair."""
+        return self.tails[u][v], self.total
 
     @cached_property
     def mm(self) -> model.MomentMatrix:
@@ -194,10 +232,15 @@ class _Trial:
 
     @cached_property
     def tt(self) -> TailTable:
-        return tail_table_from_pmf(self.pmf)
+        return TailTable.from_ints(self.pmf.m, self.pmf.n, self.tails,
+                                   self.total)
 
 
 class _Recorder:
+    """Counts the checks of one property on one instance and records the
+    ones that fail.  `le` and `eq` compare pairs a/b and c/d by
+    cross-multiplication, so a Fraction is built only for a failure."""
+
     def __init__(self, spec: InstanceSpec, report: ValidationReport):
         self.spec = spec
         self.report = report
@@ -210,24 +253,45 @@ class _Recorder:
                 Failure(self.spec, prop, params, Fraction(lhs), Fraction(rhs))
             )
 
-    def check_le(self, prop: str, params: Dict[str, int], lhs, rhs) -> None:
+    def le(self, prop: str, params: Dict[str, int], lhs: bnd.Pair,
+           rhs: bnd.Pair) -> None:
         self.checks += 1
-        if lhs > rhs:
-            self.report.failures.append(
-                Failure(self.spec, prop, params, Fraction(lhs), Fraction(rhs))
-            )
+        (a, b), (c, d) = lhs, rhs
+        if a * d > c * b:
+            self._fail(prop, params, lhs, rhs)
+
+    def eq(self, prop: str, params: Dict[str, int], lhs: bnd.Pair,
+           rhs: bnd.Pair) -> None:
+        self.checks += 1
+        (a, b), (c, d) = lhs, rhs
+        if a * d != c * b:
+            self._fail(prop, params, lhs, rhs)
+
+    def _fail(self, prop: str, params: Dict[str, int], lhs: bnd.Pair,
+              rhs: bnd.Pair) -> None:
+        self.report.failures.append(
+            Failure(self.spec, prop, params, Fraction(*lhs), Fraction(*rhs)))
 
 
-def check_shape(rec: _Recorder, family: str, grid, first: Tuple[int, int],
-                fixed: Dict[str, int],
+def _second_difference(x: bnd.Pair, y: bnd.Pair,
+                       z: bnd.Pair) -> bnd.Pair:
+    """z - 2y + x as a pair: the sign of its numerator a·d·f − 2·c·b·f +
+    e·b·d is the sign of the curvature at y."""
+    (a, b), (c, d), (e, f) = x, y, z
+    return a * d * f - 2 * c * b * f + e * b * d, b * d * f
+
+
+def check_shape(rec: _Recorder, family: str, grid: bnd.PairGrid,
+                first: Tuple[int, int], fixed: Dict[str, int],
                 then: Optional[Callable[[Dict[str, int]], None]]) -> None:
-    """Check the shape `RISING` states for a swept family on grid[i][j], its
-    bound at depth (k, l) = (first[0] + i, first[1] + j), with params
-    `fixed` plus k and l.  At each cell, in order: monotone in k, monotone
-    in l, curvature in k, curvature in l, then `then(params)` if given."""
+    """Check the shape `RISING` states for a swept family on grid[i][j], the
+    pair of its bound at depth (k, l) = (first[0] + i, first[1] + j), with
+    params `fixed` plus k and l.  At each cell, in order: monotone in k,
+    monotone in l, curvature in k, curvature in l, then `then(params)` if
+    given."""
     rising = RISING[family]
-    le = rec.check_le if rising else (
-        lambda prop, p, lhs, rhs: rec.check_le(prop, p, rhs, lhs))
+    le = rec.le if rising else (
+        lambda prop, p, lhs, rhs: rec.le(prop, p, rhs, lhs))
     bend = "concave" if rising else "convex"
     mono_k, mono_l = f"{family}_monotone_k", f"{family}_monotone_l"
     bend_k, bend_l = f"{family}_{bend}_k", f"{family}_{bend}_l"
@@ -241,14 +305,16 @@ def check_shape(rec: _Recorder, family: str, grid, first: Tuple[int, int],
             if j + 1 < cols:
                 le(mono_l, p, x, row[j + 1])
             if i + 2 < rows:
-                le(bend_k, p, grid[i + 2][j] - 2 * grid[i + 1][j] + x, 0)
+                le(bend_k, p, _second_difference(x, grid[i + 1][j],
+                                                 grid[i + 2][j]), (0, 1))
             if j + 2 < cols:
-                le(bend_l, p, row[j + 2] - 2 * row[j + 1] + x, 0)
+                le(bend_l, p, _second_difference(x, row[j + 1], row[j + 2]),
+                   (0, 1))
             if then is not None:
                 then(p)
 
 
-def shape_failures(family: str, grid,
+def shape_failures(family: str, grid: bnd.PairGrid,
                    first: Tuple[int, int]) -> List[Failure]:
     """The shape checks of `check_shape` that grid fails, with no spec."""
     report = ValidationReport()
@@ -301,47 +367,42 @@ def _prop_event_roundtrip(trial: _Trial, rec: _Recorder) -> None:
 
 def _prop_moment_bounds(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
-    rec.check("moment_bounds", {"i": 0, "j": 0}, mm.s[0][0], Fraction(1))
+    rec.eq("moment_bounds", {"i": 0, "j": 0}, _pair(mm.s[0][0]), (1, 1))
     for i in range(pmf.m + 1):
         for j in range(pmf.n + 1):
-            rec.check_le("moment_bounds", {"i": i, "j": j}, 0, mm.s[i][j])
-            rec.check_le("moment_bounds", {"i": i, "j": j}, mm.s[i][j],
-                         binom(pmf.m, i) * binom(pmf.n, j))
+            s = _pair(mm.s[i][j])
+            rec.le("moment_bounds", {"i": i, "j": j}, (0, 1), s)
+            rec.le("moment_bounds", {"i": i, "j": j}, s,
+                   (comb(pmf.m, i) * comb(pmf.n, j), 1))
 
 
 def _prop_complementary_expansion(trial: _Trial, rec: _Recorder) -> None:
     # linear-in-moments form of the complementary moments vs direct
-    # expectations over the pmf, bivariate and univariate
-    pmf, mm = trial.pmf, trial.mm
-    m, n = pmf.m, pmf.n
-    cells = [
-        (u, v, pmf.p[u][v])
-        for u in range(m + 1)
-        for v in range(n + 1)
-        if pmf.p[u][v]
-    ]
+    # expectations over the pmf, bivariate and univariate, each expectation
+    # a numerator over trial.total
+    mm, total = trial.mm, trial.total
+    m, n = trial.pmf.m, trial.pmf.n
+    cells = [(u, v, x) for u, row in enumerate(trial.weights)
+             for v, x in enumerate(row) if x]
     # E C(m-S, k) and E C(n-T, l)
-    e_a = [sum(binom(m - u, k) * p for u, _, p in cells)
+    e_a = [sum(comb(m - u, k) * x for u, _, x in cells)
            for k in range(m + 1)]
-    e_b = [sum(binom(n - v, l) * p for _, v, p in cells)
+    e_b = [sum(comb(n - v, l) * x for _, v, x in cells)
            for l in range(n + 1)]
+    (s0,), s0_den = _over_lcm([mm.s[0]])
     for l in range(n + 1):
-        linear = sum(
-            (-1) ** r * binom(n - r, l - r) * mm.s[0][r] for r in range(l + 1)
-        )
-        rec.check("complementary_univariate", {"l": l}, linear, e_b[l])
+        linear = sum((-1) ** r * comb(n - r, l - r) * s0[r]
+                     for r in range(l + 1))
+        rec.eq("complementary_univariate", {"l": l}, (linear, s0_den),
+               (e_b[l], total))
     for k in range(1, m + 1):
         for l in range(1, n + 1):
-            e_ab = sum(
-                binom(m - u, k) * binom(n - v, l) * p for u, v, p in cells
-            )
-            direct = binom(m, k) * e_b[l] + binom(n, l) * e_a[k] - e_ab
-            rec.check(
-                "complementary_bivariate",
-                {"k": k, "l": l},
-                transforms.complementary_moment(mm, k, l),
-                direct,
-            )
+            e_ab = sum(comb(m - u, k) * comb(n - v, l) * x
+                       for u, v, x in cells)
+            direct = comb(m, k) * e_b[l] + comb(n, l) * e_a[k] - e_ab
+            rec.eq("complementary_bivariate", {"k": k, "l": l},
+                   _pair(transforms.complementary_moment(mm, k, l)),
+                   (direct, total))
 
 
 def _prop_gumbel_identity(trial: _Trial, rec: _Recorder) -> None:
@@ -358,58 +419,51 @@ def _prop_sandwich_bonferroni(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
     for u in range(1, pmf.m + 1):
         for v in range(1, pmf.n + 1):
-            tail = trial.tt.q[u][v]
+            tail = trial.tail(u, v)
             kmax = (pmf.m + pmf.n - u - v) // 2 + 1
             for k in range(kmax + 1):
                 lo, up = bnd.bonferroni_pair(mm, u, v, k)
                 p = {"u": u, "v": v, "k": k}
-                rec.check_le("sandwich_bonferroni_lower", p, lo.value, tail)
-                rec.check_le("sandwich_bonferroni_upper", p, tail, up.value)
+                rec.le("sandwich_bonferroni_lower", p, lo.pair, tail)
+                rec.le("sandwich_bonferroni_upper", p, tail, up.pair)
 
 
 def _prop_sandwich_frechet_gumbel(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
-    tail = trial.tt.q[1][1]
+    tail = trial.tail(1, 1)
     for k in range(1, pmf.m + 1):
         for l in range(1, pmf.n + 1):
             p = {"k": k, "l": l}
-            rec.check_le(
-                "sandwich_frechet", p, bnd.frechet_lower(mm, k, l).value, tail
-            )
-            rec.check_le(
-                "sandwich_gumbel", p, tail, bnd.gumbel_upper(mm, k, l).value
-            )
+            rec.le("sandwich_frechet", p, bnd.frechet_lower(mm, k, l).pair,
+                   tail)
+            rec.le("sandwich_gumbel", p, tail,
+                   bnd.gumbel_upper(mm, k, l).pair)
 
 
 def _prop_sandwich_type(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
     for s in range(1, pmf.m + 1):
         for t in range(1, pmf.n + 1):
-            tail = trial.tt.q[s][t]
+            tail = trial.tail(s, t)
             for k in range(1, pmf.m + 1):
                 for l in range(1, pmf.n + 1):
                     lo, up = bnd.frechet_gumbel_type(mm, s, t, k, l)
                     p = {"s": s, "t": t, "k": k, "l": l}
                     if lo.defined:
-                        rec.check_le("sandwich_frechet_type", p, lo.value, tail)
+                        rec.le("sandwich_frechet_type", p, lo.pair, tail)
                     if up.defined:
-                        rec.check_le("sandwich_gumbel_type", p, tail, up.value)
+                        rec.le("sandwich_gumbel_type", p, tail, up.pair)
 
 
 def _prop_sandwich_chung(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
     for s in range(1, pmf.m + 1):
         for t in range(1, pmf.n + 1):
-            tail = trial.tt.q[s][t]
+            tail = trial.tail(s, t)
             for k in range(s, pmf.m + 1):
                 for l in range(t, pmf.n + 1):
-                    a = bnd.chung_bound(mm, s, t, k, l)
-                    rec.check_le(
-                        "sandwich_chung",
-                        {"s": s, "t": t, "k": k, "l": l},
-                        tail,
-                        a.value,
-                    )
+                    rec.le("sandwich_chung", {"s": s, "t": t, "k": k, "l": l},
+                           tail, bnd.chung_bound(mm, s, t, k, l).pair)
 
 
 def _prop_sandwich_comparison(trial: _Trial, rec: _Recorder) -> None:
@@ -417,19 +471,15 @@ def _prop_sandwich_comparison(trial: _Trial, rec: _Recorder) -> None:
     if pmf.m < 2 or pmf.n < 2:
         return
     mm = trial.mm
-    tail = trial.tt.q[1][1]
-    rec.check_le(
-        "sandwich_c1", {}, tail, bnd.comparison_bound(mm, "c1").value
-    )
-    rec.check_le(
-        "sandwich_c6", {}, tail, bnd.comparison_bound(mm, "c6").value
-    )
+    tail = trial.tail(1, 1)
+    rec.le("sandwich_c1", {}, tail, bnd.comparison_bound(mm, "c1").pair)
+    rec.le("sandwich_c6", {}, tail, bnd.comparison_bound(mm, "c6").pair)
     a_lo = max(1, -(-(pmf.m - 1) // 2))  # smallest a with m - 2a - 1 <= 0
     b_lo = max(1, -(-(pmf.n - 1) // 2))
     for a in range(a_lo, pmf.m + 1):
         for b in range(b_lo, pmf.n + 1):
-            val = bnd.comparison_bound(mm, "c3", a, b).value
-            rec.check_le("sandwich_c3", {"a": a, "b": b}, val, tail)
+            rec.le("sandwich_c3", {"a": a, "b": b},
+                   bnd.comparison_bound(mm, "c3", a, b).pair, tail)
 
 
 def _prop_frechet_shape(trial: _Trial, rec: _Recorder) -> None:
@@ -442,7 +492,7 @@ def _prop_gumbel_shape(trial: _Trial, rec: _Recorder) -> None:
 
 def _depth_shape(trial: _Trial, rec: _Recorder, family: str, bound) -> None:
     pmf, mm = trial.pmf, trial.mm
-    grid = [[bound(mm, k, l).value for l in range(1, pmf.n + 1)]
+    grid = [[bound(mm, k, l).pair for l in range(1, pmf.n + 1)]
             for k in range(1, pmf.m + 1)]
     check_shape(rec, family, grid, (1, 1), {}, None)
 
@@ -452,16 +502,17 @@ def _prop_chung_shape(trial: _Trial, rec: _Recorder) -> None:
     m, n = pmf.m, pmf.n
     for s in range(1, m + 1):
         for t in range(1, n + 1):
-            a = [[bnd.chung_bound(mm, s, t, k, l).value
+            a = [[bnd.chung_bound(mm, s, t, k, l).pair
                   for l in range(t, n + 1)] for k in range(s, m + 1)]
 
             def recursion(p):  # called at once, for this s, t and a
+                # a(k, l) - a(k+1, l) = s/(m-s) a_{s+1}(k+1, l)
                 k, l = p["k"], p["l"]
                 if k < m:
-                    rec.check("chung_recursion", p,
-                              a[k - s][l - t] - a[k - s + 1][l - t],
-                              Fraction(s, m - s)
-                              * bnd.chung_bound(mm, s + 1, t, k + 1, l).value)
+                    (x, y), (z, w) = a[k - s][l - t], a[k - s + 1][l - t]
+                    e, f = bnd.chung_bound(mm, s + 1, t, k + 1, l).pair
+                    rec.eq("chung_recursion", p, (x * w - z * y, y * w),
+                           (s * e, (m - s) * f))
 
             check_shape(rec, "chung", a, (s, t), {"s": s, "t": t}, recursion)
 
@@ -469,40 +520,25 @@ def _prop_chung_shape(trial: _Trial, rec: _Recorder) -> None:
 def _prop_anchors(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
     m, n = pmf.m, pmf.n
-    rec.check(
-        "anchor_frechet_full",
-        {"k": m, "l": n},
-        bnd.frechet_lower(mm, m, n).value,
-        trial.tt.q[1][1],
-    )
-    rec.check(
-        "anchor_gumbel_11",
-        {"k": 1, "l": 1},
-        bnd.gumbel_upper(mm, 1, 1).value,
-        mm.s[1][1],
-    )
+    rec.eq("anchor_frechet_full", {"k": m, "l": n},
+           bnd.frechet_lower(mm, m, n).pair, trial.tail(1, 1))
+    rec.eq("anchor_gumbel_11", {"k": 1, "l": 1},
+           bnd.gumbel_upper(mm, 1, 1).pair, _pair(mm.s[1][1]))
     for s in range(1, m + 1):
         for t in range(1, n + 1):
-            tail = trial.tt.q[s][t]
-            rec.check(
-                "anchor_chung_full",
-                {"s": s, "t": t},
-                bnd.chung_bound(mm, s, t, m, n).value,
-                tail,
-            )
+            tail = trial.tail(s, t)
+            rec.eq("anchor_chung_full", {"s": s, "t": t},
+                   bnd.chung_bound(mm, s, t, m, n).pair, tail)
             k_full = (m + n - s - t) // 2 + 1
             lo, up = bnd.bonferroni_pair(mm, s, t, k_full)
-            rec.check("anchor_bonferroni_full_lower", {"s": s, "t": t},
-                      lo.value, tail)
-            rec.check("anchor_bonferroni_full_upper", {"s": s, "t": t},
-                      up.value, tail)
+            rec.eq("anchor_bonferroni_full_lower", {"s": s, "t": t},
+                   lo.pair, tail)
+            rec.eq("anchor_bonferroni_full_upper", {"s": s, "t": t},
+                   up.pair, tail)
     if m >= 2 and n >= 2:
-        rec.check(
-            "anchor_c4",
-            {"a": m - 1, "b": n - 1},
-            bnd.comparison_bound(mm, "c3", m - 1, n - 1).value,
-            bnd.frechet_lower(mm, 2, 2).value,
-        )
+        rec.eq("anchor_c4", {"a": m - 1, "b": n - 1},
+               bnd.comparison_bound(mm, "c3", m - 1, n - 1).pair,
+               bnd.frechet_lower(mm, 2, 2).pair)
 
 
 _PMF_PROPERTIES: Dict[str, Callable[[_Trial, _Recorder], None]] = {

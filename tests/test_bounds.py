@@ -1,6 +1,8 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from bvbounds import (
     DomainError,
@@ -14,6 +16,8 @@ from bvbounds import (
     gumbel_upper,
     moments_from_pmf,
 )
+from bvbounds.bounds import BoundValue
+from test_kernel import moment_matrices
 
 third = Fraction(1, 3)
 
@@ -173,3 +177,62 @@ class TestComparisonBounds:
     def test_unknown_id(self, mm2):
         with pytest.raises(DomainError, match="unknown comparison"):
             comparison_bound(mm2, "c2")
+
+
+class TestBoundValuePair:
+    def test_pair_built_equals_value_built(self, mm2):
+        b = chung_bound(mm2, 1, 1, 1, 2)
+        built = BoundValue(b.value, b.direction, b.family, dict(b.params))
+        assert built == b
+        assert repr(built) == repr(b)
+
+    def test_pair_read_before_value(self, mm2):
+        b = frechet_lower(mm2, 1, 1)
+        assert Fraction(*b.pair) == Fraction(5, 12)
+        assert "value" not in vars(b)  # not built until read
+        assert b.value == Fraction(5, 12) and "value" in vars(b)
+
+    def test_replace_updates_pair(self, mm2):
+        b = gumbel_upper(mm2, 2, 2)
+        bumped = replace(b, value=b.value + 1)
+        assert bumped.pair == (5, 3)
+        assert bumped != b
+
+    def test_undefined(self):
+        pmf = JointPMF(3, 1, [[Fraction(1, 2), 0], [0, 0], [0, 0],
+                              [0, Fraction(1, 2)]])
+        lo, _ = frechet_gumbel_type(moments_from_pmf(pmf), 3, 1, 3, 1)
+        assert lo.pair == (0, 0)
+        assert lo.value is None and not lo.defined
+        assert "undefined" in lo.note
+
+    @given(moment_matrices(lo=1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_defined_pair_has_a_positive_denominator(self, mm):
+        # the oracle's cross-multiplication needs den > 0 and the pair's
+        # value to be the bound's value
+        m, n = mm.m, mm.n
+        bounds = [frechet_lower(mm, k, l) for k in range(1, m + 1)
+                  for l in range(1, n + 1)]
+        bounds += [gumbel_upper(mm, k, l) for k in range(1, m + 1)
+                   for l in range(1, n + 1)]
+        for s in range(1, m + 1):
+            for t in range(1, n + 1):
+                for k in range(1, m + 1):
+                    for l in range(1, n + 1):
+                        bounds += frechet_gumbel_type(mm, s, t, k, l)
+                        if k >= s and l >= t:
+                            bounds.append(chung_bound(mm, s, t, k, l))
+                for k in range((m + n - s - t) // 2 + 2):
+                    bounds += bonferroni_pair(mm, s, t, k)
+        if m >= 2 and n >= 2:
+            bounds += [comparison_bound(mm, "c1"), comparison_bound(mm, "c6")]
+            bounds += [comparison_bound(mm, "c3", a, b)
+                       for a in range(max(1, m // 2), m + 1)
+                       for b in range(max(1, n // 2), n + 1)]
+        for b in bounds:
+            if b.defined:
+                assert b.pair[1] > 0
+                assert Fraction(*b.pair) == b.value
+            else:
+                assert b.pair == (0, 0) and b.value is None

@@ -19,6 +19,51 @@ from bvbounds.oracle import ALL_PROPERTIES
 
 GOLDEN = Path(__file__).parent / "golden"
 
+PAIR_FAULT_SPECS = [
+    InstanceSpec(11, 3, 2, "dense_pmf"),
+    InstanceSpec(12, 2, 3, "sparse_pmf"),
+    InstanceSpec(13, 2, 2, "event_system", atoms=5),
+    InstanceSpec(14, 4, 4, "dense_pmf"),
+]
+
+
+def _type_lower_plus_1(real):
+    def planted(*args):
+        lo, up = real(*args)
+        return (replace(lo, value=lo.value + 1) if lo.defined else lo), up
+    return planted
+
+
+def _bonferroni_upper_minus_1(real):
+    def planted(*args):
+        lo, up = real(*args)
+        return lo, replace(up, value=up.value - 1)
+    return planted
+
+
+def _c1_minus_1(real):
+    def planted(mm, which, *args):
+        bound = real(mm, which, *args)
+        return replace(bound, value=bound.value - 1) if which == "c1" else bound
+    return planted
+
+
+# fault id: (bound function, wrapper that plants the fault)
+PAIR_FAULTS = {
+    "frechet_gumbel_type_lower_plus_1": ("frechet_gumbel_type",
+                                         _type_lower_plus_1),
+    "bonferroni_pair_upper_minus_1": ("bonferroni_pair",
+                                      _bonferroni_upper_minus_1),
+    "comparison_c1_minus_1": ("comparison_bound", _c1_minus_1),
+}
+
+
+def plant_pair_fault(monkeypatch, fault):
+    import bvbounds.bounds as bounds_mod
+
+    name, wrap = PAIR_FAULTS[fault]
+    monkeypatch.setattr(bounds_mod, name, wrap(getattr(bounds_mod, name)))
+
 
 class TestInstanceSpec:
     def test_kind_checked(self):
@@ -199,6 +244,19 @@ class TestValidate:
         ])
         golden = json.loads((GOLDEN / "validate_planted.json").read_text())
         assert report.to_dict()["failures"] == golden[fault]
+
+    @pytest.mark.parametrize("fault", PAIR_FAULTS)
+    def test_planted_fault_on_pair_checks(self, monkeypatch, fault):
+        # golden check counts and failure records of the parent of the
+        # oracle's pair comparisons, under faults planted through
+        # replace(..., value=...)
+        plant_pair_fault(monkeypatch, fault)
+        report = validate(PAIR_FAULT_SPECS)
+        golden = json.loads((GOLDEN / "validate_planted_pairs.json")
+                            .read_text())[fault]
+        assert report.checks == golden["checks"]
+        assert report.to_dict()["failures"] == golden["failures"]
+        assert golden["failures"]
 
     def test_all_properties_listed(self):
         assert "theorem1_roundtrip" in ALL_PROPERTIES

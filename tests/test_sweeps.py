@@ -132,6 +132,16 @@ def test_oracle_does_not_read_the_sweeps():
     assert not names & sweeps
 
 
+def test_oracle_does_not_read_grid_numerators():
+    # The oracle sums the pmf on integers over a denominator it computes
+    # itself, never on a grid's held numerators or denominator.
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    attrs = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    assert "pair" in attrs  # the walk sees the bounds' pairs
+    assert not attrs & {"nums", "den"}
+
+
 def test_cli_does_not_name_the_sweeps():
     # compare and sweep read the sweeps through bounds.tables only
     names = set()
