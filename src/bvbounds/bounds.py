@@ -12,20 +12,23 @@ Families:
   * three closed-form literature bounds on P(S>=1, T>=1) built from the four
     moments s11, s12, s21, s22.
 
-Each bound of the first four families is an integer numerator over an
-integer denominator.  A *sweep*, computed once per grid, family and target,
+Every bound is an integer numerator over an integer denominator.  A
+*sweep*, computed once per grid, family and target of the first four,
 holds the (numerator, denominator) ints of every legal depth (k, l), or k
 for Bonferroni, read off one memoised kernel product (the Chung numerators
 of the target, or at (1, 1) for the type pair) or the Bonferroni
 anti-diagonal prefix; a denominator of 0 marks an undefined bound.  The
-per-bound functions are thin readers of one cell: the `BoundValue` they
-return holds the cell as its `pair` and builds its `Fraction` only when
+per-bound functions read one cell (c1, c3 and c6 compute one pair) and
+return a `BoundValue` that holds it and builds its `Fraction` only when
 `value` is read.  The Frechet and Gumbel families are the type pair at
-target (1, 1), and Gumbel is Chung at (1, 1): both hold the same unreduced
-pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
+target (1, 1), and Gumbel is Chung at (1, 1): both hold the same
+unreduced pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
 
-`tables(mm, u, v)` is the one statement of each swept family's label(s),
-direction, first depth and sweep at a target, the Frechet/Gumbel alias too.
+`FAMILIES` states each family of `bound` once: its parameters, which are
+the CLI's flags, and the call that evaluates it.  `tables(mm, u, v)` states
+each family's label(s), direction, first depth and cells at a target: the
+Frechet/Gumbel alias too, and c1, c6 and c3 at (a, b) = (m-1, n-1) as
+one-cell tables at (1, 1), or the note that skips them when m or n < 2.
 
 Values are reported raw (they may fall outside [0, 1]); a vanishing
 denominator yields an undefined BoundValue rather than an error.
@@ -56,9 +59,9 @@ class BoundValue:
     and the parameters it was evaluated at.
 
     `pair` is the value as (numerator, denominator > 0), not necessarily
-    reduced, or (0, 0) when undefined.  A bound read off a sweep holds only
-    the pair and builds `value` when it is first read; one constructed with
-    a value takes its pair from it."""
+    reduced, or (0, 0) when undefined.  A bound this module computes holds
+    only the pair and builds `value` when it is first read; one constructed
+    with a value (`dataclasses.replace`) takes its pair from it."""
 
     value: Optional[Fraction]
     direction: str
@@ -176,10 +179,10 @@ def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
 
 
 class Table(NamedTuple):
-    """A swept family's bounds on one target at every legal depth.
-    `cells()` reads the sweep: cells()[i][j] is the bound at depth
-    (k, l) = (first[0] + i, first[1] + j), or cells()[i] the one at depth
-    k = first[0] + i when `first` has one entry (Bonferroni)."""
+    """A family's bounds on one target at every legal depth, as pairs:
+    cells()[i][j] is the one at depth (k, l) = (first[0] + i, first[1] + j),
+    cells()[i] the one at k = first[0] + i when `first` has one entry
+    (Bonferroni), and cells() the only one when `first` is empty."""
 
     labels: Tuple[str, ...]
     direction: str
@@ -187,11 +190,12 @@ class Table(NamedTuple):
     cells: Callable[[], list]
 
 
-def tables(mm: MomentMatrix, u: int, v: int) -> List[Table]:
-    """Every swept family's table on P(S>=u, T>=v).  No sweep is computed
-    or target checked until cells() runs, so a caller can check first."""
+def tables(mm: MomentMatrix, u: int, v: int) -> Tuple[List[Table], list]:
+    """(every family's table on P(S>=u, T>=v), (label, note) of each family
+    skipped there).  No bound is computed or target checked until cells()
+    runs, so a caller can check first."""
     at_11 = (u, v) == (1, 1)
-    return [
+    swept = [
         Table(("type-lower",) + ("frechet",) * at_11, LOWER, (1, 1),
               lambda: type_sweep(mm, u, v)[0]),
         Table(("type-upper",) + ("gumbel",) * at_11, UPPER, (1, 1),
@@ -202,17 +206,26 @@ def tables(mm: MomentMatrix, u: int, v: int) -> List[Table]:
         Table(("bonferroni-upper",), UPPER, (0,),
               lambda: bonferroni_sweep(mm, u, v)[1]),
     ]
+    if not at_11:
+        return swept, []
+    if mm.m < 2 or mm.n < 2:
+        return swept, [("c1/c3/c6", "require m >= 2 and n >= 2")]
+    a, b = mm.m - 1, mm.n - 1
+    return swept + [
+        Table(("c1",), UPPER, (), lambda: comparison_bound(mm, "c1").pair),
+        Table(("c6",), UPPER, (), lambda: comparison_bound(mm, "c6").pair),
+        Table((f"c3 a={a} b={b}",), LOWER, (),
+              lambda: comparison_bound(mm, "c3", a, b).pair),
+    ], []
 
 
 def bonferroni_pair(
     mm: MomentMatrix, u: int, v: int, k: int
 ) -> Tuple[BoundValue, BoundValue]:
     """Truncated alternating bounds on P(S>=u, T>=v) at depth k."""
-    _check_range("u", u, 1, mm.m)
-    _check_range("v", v, 1, mm.n)
+    lower, upper = bonferroni_sweep(mm, u, v)
     if k < 0:
         raise DomainError("k must be nonnegative")
-    lower, upper = bonferroni_sweep(mm, u, v)
     depth, params = min(k, len(lower) - 1), {"u": u, "v": v, "k": k}
     return (_ratio(lower[depth], LOWER, "bonferroni", params),
             _ratio(upper[depth], UPPER, "bonferroni", params))
@@ -240,11 +253,9 @@ def frechet_gumbel_type(
 ) -> Tuple[BoundValue, BoundValue]:
     """Generalized lower/upper pair targeting P(S>=s, T>=t); either bound is
     undefined when its denominator vanishes."""
-    _check_range("s", s, 1, mm.m)
-    _check_range("t", t, 1, mm.n)
+    lower, upper = type_sweep(mm, s, t)
     _check_range("k", k, 1, mm.m)
     _check_range("l", l, 1, mm.n)
-    lower, upper = type_sweep(mm, s, t)
     params = {"s": s, "t": t, "k": k, "l": l}
     return (_ratio(lower[k - 1][l - 1], LOWER, "frechet_type", params),
             _ratio(upper[k - 1][l - 1], UPPER, "gumbel_type", params))
@@ -261,19 +272,8 @@ def chung_bound(mm: MomentMatrix, s: int, t: int, k: int, l: int) -> BoundValue:
                   {"s": s, "t": t, "k": k, "l": l})
 
 
-_COMPARISON_FAMILY = {
-    "c1": "galambos_xu",
-    "c3": "chen_seneta",
-    "c6": "madi_nagy_prekopa",
-}
-
-
-def comparison_bound(
-    mm: MomentMatrix,
-    which: str,
-    a: Optional[int] = None,
-    b: Optional[int] = None,
-) -> BoundValue:
+def comparison_bound(mm: MomentMatrix, which: str, a: Optional[int] = None,
+                     b: Optional[int] = None) -> BoundValue:
     """Literature bounds on P(S>=1, T>=1) from {s11, s12, s21, s22}.
 
     c1 (upper):  s11 - (2/n)s12 - (2/m)s21 + (4/mn)s22
@@ -281,19 +281,18 @@ def comparison_bound(
                  m <= 2a+1 and n <= 2b+1; at a=m-1, b=n-1 it coincides with
                  frechet_lower(2, 2)
     c6 (upper):  min of the two asymmetric three-term combinations
+    With D = mm.den, c1 and c6 are pairs over mn D, c3 over (a+1)(b+1)ab D.
     """
-    if which not in _COMPARISON_FAMILY:
+    if which not in ("c1", "c3", "c6"):
         raise DomainError(f"unknown comparison bound {which!r}; expected c1/c3/c6")
     m, n = mm.m, mm.n
     if m < 2 or n < 2:
         raise DomainError("comparison bounds require m >= 2 and n >= 2")
-    s11, s12, s21, s22 = (Fraction(mm.nums[i][j], mm.den)
-                          for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)))
-    family = _COMPARISON_FAMILY[which]
+    (_, s11, s12, *_), (_, s21, s22, *_) = mm.nums[1:3]
+    mn, den = m * n, mm.den
     if which == "c1":
-        value = (s11 - Fraction(2, n) * s12 - Fraction(2, m) * s21
-                 + Fraction(4, m * n) * s22)
-        return BoundValue(value, UPPER, family, {"u": 1, "v": 1})
+        return _ratio((mn * s11 - 2 * m * s12 - 2 * n * s21 + 4 * s22,
+                       mn * den), UPPER, "galambos_xu", {"u": 1, "v": 1})
     if which == "c3":
         if a is None or b is None:
             raise DomainError("c3 requires integer parameters a and b")
@@ -303,10 +302,26 @@ def comparison_bound(
             raise DomainError(f"c3 requires m - 2a - 1 <= 0 (m={m}, a={a})")
         if n - 2 * b - 1 > 0:
             raise DomainError(f"c3 requires n - 2b - 1 <= 0 (n={n}, b={b})")
-        c = Fraction(4, (a + 1) * (b + 1))
-        value = c * s11 - c / b * s12 - c / a * s21 + c / (a * b) * s22
-        return BoundValue(value, LOWER, family, {"u": 1, "v": 1, "a": a, "b": b})
-    # c6
-    first = s11 - Fraction(2, m * n) * s12 - Fraction(2, m) * s21
-    second = s11 - Fraction(2, n) * s12 - Fraction(2, m * n) * s21
-    return BoundValue(min(first, second), UPPER, family, {"u": 1, "v": 1})
+        return _ratio((4 * (a * b * s11 - a * s12 - b * s21 + s22),
+                       (a + 1) * (b + 1) * a * b * den), LOWER, "chen_seneta",
+                      {"u": 1, "v": 1, "a": a, "b": b})
+    # c6: both terms over mn D, so the min of their numerators
+    return _ratio((min(mn * s11 - 2 * s12 - 2 * n * s21,
+                       mn * s11 - 2 * m * s12 - 2 * s21), mn * den),
+                  UPPER, "madi_nagy_prekopa", {"u": 1, "v": 1})
+
+
+# Each family of `bound --family`: (the parameters that follow the moment
+# grid, in order, which are also the CLI's flags; a function of the grid and
+# those parameters that returns the family's bounds).  Each function looks
+# its bound up when called, so a rebound module attribute is the one run.
+FAMILIES: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple]]] = {
+    "bonferroni": (("u", "v", "k"), lambda mm, *p: bonferroni_pair(mm, *p)),
+    "frechet": (("k", "l"), lambda mm, *p: (frechet_lower(mm, *p),)),
+    "gumbel": (("k", "l"), lambda mm, *p: (gumbel_upper(mm, *p),)),
+    "type": (("s", "t", "k", "l"), lambda mm, *p: frechet_gumbel_type(mm, *p)),
+    "chung": (("s", "t", "k", "l"), lambda mm, *p: (chung_bound(mm, *p),)),
+    "c1": ((), lambda mm: (comparison_bound(mm, "c1"),)),
+    "c3": (("a", "b"), lambda mm, *p: (comparison_bound(mm, "c3", *p),)),
+    "c6": ((), lambda mm: (comparison_bound(mm, "c6"),)),
+}

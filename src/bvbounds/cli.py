@@ -291,12 +291,8 @@ def _require_flag(args, name: str) -> int:
 
 def cmd_bound(args, out) -> int:
     mm = to_moments(load_instance(args.infile))
-    name, flags = BOUND_CALLS[args.family]
-    fixed = (args.family,) if name == "comparison_bound" else ()
-    result = getattr(bnd, name)(
-        mm, *fixed, *(_require_flag(args, flag) for flag in flags)
-    )
-    for b in result if isinstance(result, tuple) else (result,):
+    flags, bounds = bnd.FAMILIES[args.family]
+    for b in bounds(mm, *(_require_flag(args, flag) for flag in flags)):
         _emit_bound(b, args.clamp, out)
     return EXIT_OK
 
@@ -304,7 +300,7 @@ def cmd_bound(args, out) -> int:
 def cmd_sweep(args, out) -> int:
     mm = to_moments(load_instance(args.infile))
     fam = args.family
-    table = next((t for t in bnd.tables(mm, args.u, args.v)
+    table = next((t for t in bnd.tables(mm, args.u, args.v)[0]
                   if fam in t.labels), None)
     if table is None:
         raise InputError(f"--family {fam} targets u=1, v=1 only")
@@ -330,33 +326,27 @@ def cmd_sweep(args, out) -> int:
 
 def _compare_rows(mm: MomentMatrix, u: int, v: int):
     """(label, direction, num, den) of each defined bound on P(S>=u, T>=v),
-    its pair as the sweep holds it (den > 0, not necessarily reduced), and
-    (label, note) of the undefined ones compare reports."""
+    its pair as its table holds it (den > 0, not necessarily reduced), and
+    (label, note) of the families skipped at the target."""
     rows: List[Tuple[str, str, int, int]] = []
-    for table in bnd.tables(mm, u, v):
+    tables, skips = bnd.tables(mm, u, v)
+    for table in tables:
         labels, direction, cells = table.labels, table.direction, table.cells()
-        if len(table.first) == 1:
-            depths = ((f"k={k}", cell)
+        if not table.first:
+            depths = (("", cells),)
+        elif len(table.first) == 1:
+            depths = ((f" k={k}", cell)
                       for k, cell in enumerate(cells, table.first[0]))
         else:
             k0, l0 = table.first
-            depths = ((f"k={k} l={l}", cell)
+            depths = ((f" k={k} l={l}", cell)
                       for k, row in enumerate(cells, k0)
                       for l, cell in enumerate(row, l0))
         for depth, (num, den) in depths:
             if den:
-                rows.extend([(f"{lbl} {depth}", direction, num, den)
+                rows.extend([(lbl + depth, direction, num, den)
                              for lbl in labels])
-    if (u, v) != (1, 1):
-        return rows, []
-    if mm.m < 2 or mm.n < 2:
-        return rows, [("c1/c3/c6", "require m >= 2 and n >= 2")]
-    for lbl, which in (("c1", ("c1",)), ("c6", ("c6",)),
-                       (f"c3 a={mm.m - 1} b={mm.n - 1}",
-                        ("c3", mm.m - 1, mm.n - 1))):
-        b = bnd.comparison_bound(mm, *which)
-        rows.append((lbl, b.direction, *b.pair))
-    return rows, []
+    return rows, skips
 
 
 def _ordered(rows):
@@ -444,19 +434,7 @@ def _specs(args):
         yield oracle.InstanceSpec(seed, m, n, kind, atoms=atoms)
 
 
-# --family of `bound`: (function of `bounds`, the flags it takes after the
-# moment grid); a comparison bound also takes the family name.
-BOUND_CALLS = {
-    "bonferroni": ("bonferroni_pair", ("u", "v", "k")),
-    "frechet": ("frechet_lower", ("k", "l")),
-    "gumbel": ("gumbel_upper", ("k", "l")),
-    "type": ("frechet_gumbel_type", ("s", "t", "k", "l")),
-    "chung": ("chung_bound", ("s", "t", "k", "l")),
-    "c1": ("comparison_bound", ()),
-    "c3": ("comparison_bound", ("a", "b")),
-    "c6": ("comparison_bound", ()),
-}
-FAMILY_CHOICES = tuple(BOUND_CALLS)
+FAMILY_CHOICES = tuple(bnd.FAMILIES)
 
 
 @lru_cache(maxsize=None)

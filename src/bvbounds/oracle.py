@@ -572,8 +572,9 @@ def validate(
     properties: Optional[Iterable[str]] = None,
 ) -> ValidationReport:
     """Run the selected property suites on each instance, recording exact
-    violations as data rather than raising."""
-    selected = tuple(properties) if properties is not None else ALL_PROPERTIES
+    violations as data rather than raising; a repeated id runs once."""
+    selected = tuple(dict.fromkeys(
+        ALL_PROPERTIES if properties is None else properties))
     for prop in selected:
         if prop not in _PMF_PROPERTIES and prop not in _ES_PROPERTIES:
             raise DomainError(f"unknown property id {prop!r}")

@@ -172,6 +172,44 @@ def chung_bound(mm, s, t, k, l):
     return num / (binom(mm.m - s, k - s) * binom(mm.n - t, l - t))
 
 
+def comparison_bound(mm, which, a=None, b=None):
+    """Literature bounds on P(S>=1, T>=1) from {s11, s12, s21, s22}.
+
+    c1 (upper):  s11 - (2/n)s12 - (2/m)s21 + (4/mn)s22
+    c3 (lower):  the two-parameter family requiring integers a, b with
+                 m <= 2a+1 and n <= 2b+1; at a=m-1, b=n-1 it coincides with
+                 frechet_lower(2, 2)
+    c6 (upper):  min of the two asymmetric three-term combinations
+    """
+    if which not in ("c1", "c3", "c6"):
+        raise DomainError(f"unknown comparison bound {which!r}; expected c1/c3/c6")
+    m, n = mm.m, mm.n
+    if m < 2 or n < 2:
+        raise DomainError("comparison bounds require m >= 2 and n >= 2")
+    s11, s12, s21, s22 = (Fraction(mm.nums[i][j], mm.den)
+                          for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)))
+    if which == "c1":
+        value = (s11 - Fraction(2, n) * s12 - Fraction(2, m) * s21
+                 + Fraction(4, m * n) * s22)
+        return value
+    if which == "c3":
+        if a is None or b is None:
+            raise DomainError("c3 requires integer parameters a and b")
+        if a < 1 or b < 1:
+            raise DomainError("c3 requires a >= 1 and b >= 1")
+        if m - 2 * a - 1 > 0:
+            raise DomainError(f"c3 requires m - 2a - 1 <= 0 (m={m}, a={a})")
+        if n - 2 * b - 1 > 0:
+            raise DomainError(f"c3 requires n - 2b - 1 <= 0 (n={n}, b={b})")
+        c = Fraction(4, (a + 1) * (b + 1))
+        value = c * s11 - c / b * s12 - c / a * s21 + c / (a * b) * s22
+        return value
+    # c6
+    first = s11 - Fraction(2, m * n) * s12 - Fraction(2, m) * s21
+    second = s11 - Fraction(2, n) * s12 - Fraction(2, m * n) * s21
+    return min(first, second)
+
+
 def pgf_eval(pmf, t, s):
     t, s = Fraction(t), Fraction(s)
     return Fraction(sum(

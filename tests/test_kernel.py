@@ -18,6 +18,7 @@ from bvbounds import (
     TailTable,
     bonferroni_pair,
     chung_bound,
+    comparison_bound,
     complementary_moment,
     frechet_gumbel_type,
     frechet_lower,
@@ -160,6 +161,18 @@ def test_bonferroni(mm):
                 )
 
 
+@kernel_settings
+@given(moment_matrices(lo=2))
+def test_comparison(mm):
+    # c1, c6 and c3 at every (a, b), legal or not, and the errors
+    cases = [("c1",), ("c6",), ("c3",), ("c2",)]
+    cases += [("c3", a, b) for a in span(mm.m) for b in span(mm.n)]
+    for args in cases:
+        assert outcome(comparison_bound, mm, *args) == outcome(
+            ref.comparison_bound, mm, *args
+        )
+
+
 # Evaluation points as int, Fraction or str, zero and negatives included.
 point_values = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 points = st.one_of(st.integers(-3, 3), point_values, point_values.map(str))
@@ -222,60 +235,14 @@ def test_compare_makes_each_product_once(u, v, products, monkeypatch,
     assert len(calls) == products
 
 
-@pytest.mark.parametrize("argv, golden", [
-    (["compare", "--in", "pmf6.json", "--u", "1", "--v", "1"],
-     "compare_u1_v1.txt"),
-    (["compare", "--in", "pmf6.json", "--u", "2", "--v", "3"],
-     "compare_u2_v3.txt"),
-    (["moments", "--in", "pmf6.json", "--json"], "moments6.json"),
-    (["invert", "--in", "moments6.json", "--to", "pmf"], "invert_pmf.txt"),
-    (["invert", "--in", "moments6.json", "--to", "tails"], "invert_tails.txt"),
-    (["compare", "--in", "pmf12.json", "--u", "1", "--v", "1"],
-     "compare12_u1_v1.txt"),
-    (["compare", "--in", "pmf12.json", "--u", "2", "--v", "3"],
-     "compare12_u2_v3.txt"),
-    (["compare", "--in", "pmf12.json", "--u", "12", "--v", "12"],
-     "compare12_u12_v12.txt"),
-    (["compare", "--in", "pmf1.json", "--u", "1", "--v", "1"],
-     "compare1_u1_v1.txt"),
-    (["compare", "--in", "pmf1.json", "--u", "1", "--v", "3"],
-     "compare1_u1_v3.txt"),
-    *[(["sweep", "--in", f"pmf{size}.json", "--family", family,
-        "--u", u, "--v", v], f"sweep{size}_{family}_u{u}_v{v}.txt")
-      for size, family, u, v in [
-          ("6", "frechet", "1", "1"), ("6", "gumbel", "1", "1"),
-          ("6", "chung", "1", "1"), ("6", "chung", "2", "3"),
-          ("1", "frechet", "1", "1"), ("1", "gumbel", "1", "1"),
-          ("1", "chung", "1", "1"), ("1", "chung", "1", "3")]],
-    # the type bound at (s, t, k) = (6, 1, 2) has an undefined lower bound
-    *[(["bound", "--in", "pmf6.json", "--family", family,
-        *[a for name, value in params for a in (f"--{name}", value)]],
-       "_".join(["bound6_" + family]
-                + [name + value for name, value in params]) + ".txt")
-      for family, params in [
-          ("bonferroni", [("u", "1"), ("v", "1"), ("k", "0")]),
-          ("bonferroni", [("u", "2"), ("v", "3"), ("k", "2")]),
-          ("frechet", [("k", "2"), ("l", "3")]),
-          ("gumbel", [("k", "1"), ("l", "1")]),
-          ("type", [("s", "2"), ("t", "3"), ("k", "2"), ("l", "4")]),
-          ("type", [("s", "6"), ("t", "1"), ("k", "2"), ("l", "1")]),
-          ("chung", [("s", "1"), ("t", "1"), ("k", "2"), ("l", "2")]),
-          ("chung", [("s", "2"), ("t", "3"), ("k", "4"), ("l", "5")]),
-          ("c1", []), ("c3", [("a", "5"), ("b", "5")]), ("c6", [])]],
-    (["moments", "--in", "pmf6.json"], "moments6.txt"),
-    (["moments", "--in", "events3x2.csv"], "moments_events3x2.txt"),
-    (["moments", "--in", "events3x2.csv", "--json"],
-     "moments_events3x2.json"),
-    (["invert", "--in", "pmf12.json", "--to", "tails"], "invert12_tails.txt"),
-    # cells given as decimals and unreduced, padded or signed fractions
-    (["invert", "--in", "moments_mixed.json", "--to", "pmf"],
-     "invert_mixed_pmf.txt"),
-    (["invert", "--in", "moments_mixed.json", "--to", "tails"],
-     "invert_mixed_tails.txt"),
-    # cells of up to 40 decimal digits with exponent -40
-    (["compare", "--in", "pmf5_decimal.json", "--u", "2", "--v", "2"],
-     "compare5_decimal_u2_v2.txt"),
-])
+# One `golden args...` line per case, args relative to tests/golden; CI
+# runs the same cases through the installed console script.
+GOLDEN_CASES = [line.split() for line in
+                (GOLDEN / "cases.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("argv, golden",
+                         [(args, golden) for golden, *args in GOLDEN_CASES])
 def test_cli_output_matches_golden(argv, golden, capsys):
     argv = [str(GOLDEN / a) if a.endswith((".json", ".csv")) else a
             for a in argv]

@@ -258,6 +258,18 @@ class TestValidate:
         assert report.to_dict()["failures"] == golden["failures"]
         assert golden["failures"]
 
+    def test_repeated_property_runs_once(self, monkeypatch):
+        # the same checks and failures with and without a repeated id
+        assert validate([InstanceSpec(1, 3, 3)], ["anchors", "anchors"]
+                        ).checks == {"anchors": 30}
+        plant_pair_fault(monkeypatch, "comparison_c1_minus_1")
+        once = validate(PAIR_FAULT_SPECS, ["sandwich_comparison", "anchors"])
+        twice = validate(PAIR_FAULT_SPECS, ["sandwich_comparison", "anchors",
+                                            "sandwich_comparison", "anchors"])
+        assert twice.checks == once.checks
+        assert twice.to_dict() == once.to_dict()
+        assert once.failures
+
     def test_all_properties_listed(self):
         assert "theorem1_roundtrip" in ALL_PROPERTIES
         assert "gumbel_identity" in ALL_PROPERTIES

@@ -2,6 +2,7 @@
 of tests/reference.py: mixed denominators, negative entries, zero
 denominators and extents of 1 included."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -16,11 +17,16 @@ from hypothesis import given, settings
 import reference as ref
 import bvbounds
 import bvbounds.bounds as bounds_mod
-from bvbounds import (DomainError, InstanceSpec, JointPMF, MomentMatrix,
-                      moments_from_pmf, validate)
+from bvbounds import (BoundValue, DomainError, InstanceSpec, JointPMF,
+                      MomentMatrix, moments_from_pmf, oracle, validate)
 from bvbounds.bounds import bonferroni_sweep, chung_sweep, type_sweep
-from bvbounds.cli import main
+from bvbounds.cli import build_parser, main
 from test_kernel import GOLDEN, SRC, moment_matrices
+
+# m = n = 2, mass 1/3 at (0, 0), (1, 1) and (2, 2)
+MM2 = moments_from_pmf(JointPMF(2, 2, [[Fraction(1, 3), 0, 0],
+                                       [0, Fraction(1, 3), 0],
+                                       [0, 0, Fraction(1, 3)]]))
 
 
 def value(cell):
@@ -143,8 +149,9 @@ def test_oracle_does_not_read_grid_numerators():
 
 
 def test_cli_does_not_name_the_sweeps():
-    # compare and sweep read the sweeps through bounds.tables only
-    names = set()
+    # compare and sweep read the sweeps through bounds.tables only, and
+    # bound its families through bounds.FAMILIES: cli.py names no family
+    names, strings = set(), set()
     for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
         if isinstance(node, ast.alias):  # an imported name
             names.add(node.name)
@@ -152,8 +159,65 @@ def test_cli_does_not_name_the_sweeps():
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert "tables" in names  # the walk sees the table reads
-    assert not names & {"type_sweep", "chung_sweep", "bonferroni_sweep"}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.add(node.value)
+    assert {"tables", "FAMILIES"} <= names  # the walk sees the reads
+    assert "compare" in strings  # and the string constants
+    assert not names & {"type_sweep", "chung_sweep", "bonferroni_sweep",
+                        "comparison_bound"}
+    tables, _ = bounds_mod.tables(MM2, 1, 1)
+    labels = {lbl for table in tables for lbl in table.labels}
+    assert "c3 a=1 b=1" in labels
+    assert not strings & (set(bounds_mod.FAMILIES) | labels | {"c1/c3/c6"})
+
+
+def test_bound_family_choices_are_the_families():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in sub.choices["bound"]._actions
+                  if a.dest == "family")
+    assert tuple(family.choices) == tuple(bounds_mod.FAMILIES)
+
+
+def test_rising_families_are_two_depth_tables():
+    tables, _ = bounds_mod.tables(MM2, 1, 1)
+    for family in oracle.RISING:
+        assert family in bounds_mod.FAMILIES
+        assert [len(t.first) for t in tables if family in t.labels] == [2]
+
+
+def test_comparison_tables_hold_the_comparison_bounds():
+    # one cell each at (1, 1), in the direction the bound states
+    tables, skips = bounds_mod.tables(MM2, 1, 1)
+    cells = {t.labels: (t.direction, t.cells()) for t in tables
+             if not t.first}
+    assert skips == []
+    assert cells == {
+        (label,): (b.direction, b.pair) for label, b in (
+            ("c1", bounds_mod.comparison_bound(MM2, "c1")),
+            ("c6", bounds_mod.comparison_bound(MM2, "c6")),
+            ("c3 a=1 b=1", bounds_mod.comparison_bound(MM2, "c3", 1, 1)))}
+    assert all(t.first for t in bounds_mod.tables(MM2, 1, 2)[0])
+    small = MomentMatrix(1, 2, [[1, 0, 0], [0, 0, 0]])
+    assert bounds_mod.tables(small, 1, 1)[1] == [
+        ("c1/c3/c6", "require m >= 2 and n >= 2")]
+
+
+def test_families_look_their_functions_up_when_called(monkeypatch):
+    # a rebinding of a bound function (a trace or a planted fault) runs
+    called = []
+    for name in ("bonferroni_pair", "frechet_lower", "gumbel_upper",
+                 "frechet_gumbel_type", "chung_bound", "comparison_bound"):
+        def traced(*args, real=getattr(bounds_mod, name), name=name):
+            called.append(name)
+            return real(*args)
+        monkeypatch.setattr(bounds_mod, name, traced)
+    for params, evaluate in bounds_mod.FAMILIES.values():
+        bounds = evaluate(MM2, *[1] * len(params))
+        assert bounds and all(isinstance(b, BoundValue) for b in bounds)
+    assert called == ["bonferroni_pair", "frechet_lower", "gumbel_upper",
+                      "frechet_gumbel_type", "chung_bound"] + [
+                          "comparison_bound"] * 3
 
 
 def planted_term(k, l):
