@@ -1,12 +1,15 @@
 """Exact separable kernel behind the transforms and the bound catalogue.
 
-Every map from the moment grid used by this package is L . S . R^T for two
-triangular integer matrices, one per axis, or a ratio of such a map and a
-product of binomial coefficients.  A grid (`model.RationalGrid`) is held
-once, as integer numerators `nums` over one denominator `den`, and builds
-its `Fraction` view only when that is read; both passes of the product run
-on the numerators, and the result is returned as ints over the same
-denominator, from which the callers build their grids or single values.
+Every map from the moment grid used by this package is a Taylor shift
+x -> x + 1 or x - 1 along each axis of the grid, possibly after a diagonal
+integer scaling and a reversal, or a ratio of such a map and a product of
+binomial coefficients.  The shift runs by the Pascal rule on whole rows:
+for i in 0..m-1 and j from m-1 down to i, row j becomes row j plus (or
+minus) row j+1.  That is m(m+1)/2 row additions along the first axis and,
+after one transpose, n(n+1)/2 along the second, and no multiplication
+outside the scaling.  It runs on a grid's integer numerators
+(`model.RationalGrid.nums`), and its ints are read over the grid's
+denominator `den`.
 
 A product read more than once is memoised once per grid, in one form, in
 the frozen object's `__dict__`, which grid equality and hashing ignore.  The
@@ -15,13 +18,12 @@ brute-force oracle must not use this module: it checks the kernel.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import partial
 from math import comb
-from operator import mul
+from operator import add, sub
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
 IntGrid = List[List[int]]
-Matrix = Tuple[Tuple[int, ...], ...]
 T = TypeVar("T")
 
 
@@ -33,66 +35,56 @@ def memo(obj, key, compute: Callable[[], T]) -> T:
     return store[key]
 
 
-def apply(left: Matrix, nums: Sequence[Sequence[int]],
-          right: Matrix) -> IntGrid:
-    """left . nums . right^T over the integers."""
-    half = [[sum(map(mul, row, r)) for r in right] for row in nums]
-    cols = list(zip(*half))
-    return [[sum(map(mul, l, c)) for c in cols] for l in left]
+def _pascal(lines: list, op, first: int = 0) -> list:
+    """lines, in place, Taylor-shifted by +1 (op = add) or -1 (op = sub)
+    from index `first` on, the lines before it passed through: [i] = sum
+    over j >= i of (+-1)^(j-i) C(j-first, i-first) lines[j] for i >= first."""
+    last = len(lines) - 1
+    for i in range(first, last):
+        for j in range(last - 1, i - 1, -1):
+            lines[j] = list(map(op, lines[j], lines[j + 1]))
+    return lines
+
+
+# The maps along one axis, by which the inversions are memoised: binomial
+# moments from the pmf, [i] = sum_u C(u, i) x[u]; the pmf from them, [u] =
+# sum_i (-1)^(i-u) C(i, u) x[i]; the upper-orthant tails from them, [u] =
+# sum_i (-1)^(i-u) C(i-1, u-1) x[i] for u >= 1; and back, [i] = sum_u
+# C(u-1, i-1) x[u] for i >= 1.  Both tail maps pass [0] through.
+moments_axis = partial(_pascal, op=add)
+pmf_axis = partial(_pascal, op=sub)
+tails_axis = partial(_pascal, op=sub, first=1)
+tails_inverse_axis = partial(_pascal, op=add, first=1)
+
+
+def _chung_axis(lines: list, s: int) -> list:
+    """[k-s] = sum over s <= i <= k of (-1)^(i-s) C(i-1, s-1) C(m-i, k-i)
+    lines[i] for s <= k <= m = len(lines) - 1: the Chung numerator weights
+    of target s.  Since C(m-i, k-i) = C(m-i, m-k), this is the shift by +1
+    of the scaled entries in reverse order, read in reverse order."""
+    scaled = [[(-1) ** (i - s) * comb(i - 1, s - 1) * x for x in lines[i]]
+              for i in range(len(lines) - 1, s - 1, -1)]
+    return _pascal(scaled, add)[::-1]
+
+
+def shift_grid(nums: Sequence[Sequence[int]], along_rows: Callable,
+               along_cols: Callable) -> IntGrid:
+    """nums with the axis map `along_rows` applied to its list of rows, then
+    `along_cols` to its list of columns."""
+    half = along_rows(list(nums))
+    return list(map(list, zip(*along_cols(list(zip(*half))))))
 
 
 def chung_product(grid, s: int, t: int) -> Tuple[IntGrid, int]:
-    """(numerators of chung_map(m, s)[s:] . grid . chung_map(n, t)[t:]^T,
-    grid.den), once per (grid, s, t).  At (1, 1) it is also A . s . B^T of
-    the complementary moments: A = -chung_map(m, 1), and the signs cancel."""
-    return memo(grid, (chung_map, s, t), lambda: (
-        apply(chung_map(grid.m, s)[s:], grid.nums, chung_map(grid.n, t)[t:]),
+    """(numerators [k-s][l-t] = sum over s <= i <= k, t <= j <= l of
+    (-1)^(i+j-s-t) C(i-1, s-1) C(m-i, k-i) C(j-1, t-1) C(n-j, l-j) s[i][j],
+    grid.den), once per (grid, s, t): the scaled and reversed shift by +1
+    of `_chung_axis` along each axis.  At (1, 1) it is also A . s . B^T of
+    the complementary moments, A[k][i] = (-1)^i C(m-i, k-i) and B likewise:
+    the signs cancel."""
+    return memo(grid, (chung_product, s, t), lambda: (shift_grid(
+        grid.nums, partial(_chung_axis, s=s), partial(_chung_axis, s=t)),
         grid.den))
-
-
-# Coefficient matrices, built on first use for each size.
-
-
-def _square(m: int, entry: Callable[[int, int], int]) -> Matrix:
-    """[r][c] = entry(r, c) for 0 <= r, c <= m."""
-    return tuple(tuple(entry(r, c) for c in range(m + 1))
-                 for r in range(m + 1))
-
-
-@lru_cache(maxsize=128)
-def moments_map(m: int) -> Matrix:
-    """[i][u] = C(u, i): pmf -> binomial moments."""
-    return _square(m, lambda i, u: comb(u, i))
-
-
-@lru_cache(maxsize=128)
-def pmf_map(m: int) -> Matrix:
-    """[u][i] = (-1)^(i-u) C(i, u): binomial moments -> pmf."""
-    return _square(m, lambda u, i: (-1) ** (i + u) * comb(i, u))
-
-
-@lru_cache(maxsize=128)
-def tails_map(m: int) -> Matrix:
-    """[u][i] = (-1)^(i-u) C(i-1, u-1) for u >= 1, row 0 the unit vector:
-    binomial moments -> upper-orthant tails."""
-    return _square(m, lambda u, i: int(i == 0) if u == 0 else
-                   (-1) ** (i + u) * comb(i - 1, u - 1) if i else 0)
-
-
-@lru_cache(maxsize=128)
-def tails_inverse_map(m: int) -> Matrix:
-    """[i][u] = C(u-1, i-1) for i >= 1, row 0 the unit vector: upper-orthant
-    tails -> binomial moments."""
-    return _square(m, lambda i, u: int(u == 0) if i == 0 else
-                   comb(u - 1, i - 1) if u else 0)
-
-
-@lru_cache(maxsize=128)
-def chung_map(m: int, s: int) -> Matrix:
-    """[k][i] = (-1)^(i-s) C(i-1, s-1) C(m-i, k-i) for s <= i <= k: the
-    numerator weights of the Chung bound targeting s."""
-    return _square(m, lambda k, i: (-1) ** (i + s) * comb(i - 1, s - 1)
-                   * comb(m - i, k - i) if s <= i <= k else 0)
 
 
 def antidiagonal_prefix(nums: IntGrid, wa: Sequence[int],

@@ -51,7 +51,8 @@ class InputError(Exception):
 EXPONENT_LIMIT = 1000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 # Largest m or n of an input or of `validate`: `compare` at m = n = 128
-# takes about 3 s and 140 MB, and its cost grows about as m**3.
+# takes about 1.3 s and 125 MB in process on CPython 3.11, about 6 times
+# its cost at m = n = 64.
 DIMENSION_LIMIT = 128
 
 

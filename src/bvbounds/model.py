@@ -158,9 +158,8 @@ class MomentMatrix(RationalGrid):
 def moments_from_pmf(pmf: JointPMF) -> MomentMatrix:
     """Full grid of binomial moments of (S, T), computed exactly:
     s[i][j] = sum_{u,v} C(u,i) C(v,j) p[u][v]."""
-    return MomentMatrix.from_ints(pmf.m, pmf.n, _kernel.apply(
-        _kernel.moments_map(pmf.m), pmf.nums, _kernel.moments_map(pmf.n)),
-        pmf.den)
+    return MomentMatrix.from_ints(pmf.m, pmf.n, _kernel.shift_grid(
+        pmf.nums, _kernel.moments_axis, _kernel.moments_axis), pmf.den)
 
 
 # Most (subset pair, atom) checks `bonferroni_sums` will make, about one

@@ -10,18 +10,21 @@ alternating double sum, the upper-orthant tails by the inversion pair
 valid for u, v >= 1.  Boundary indices (u = 0 or v = 0) reduce to the
 univariate versions on the marginals, since P(S>=0, T>=v) = P(T>=v).
 
-Each of these maps, and the complementary moments, is L . s . R^T with
-triangular binomial matrices L and R, evaluated by the private `_kernel`
-module on the grid's integer numerators.  Each inversion is memoised once
-per grid, as a grid with its corner set, that the per-cell functions read
-one cell of.  The brute-force oracle never uses that kernel, so that it
-checks these results by independent routes.
+Each of these maps is a Taylor shift x -> x - 1 or x + 1 along each axis
+(along indices 1.. for the tail pair, index 0 passed through), and the
+complementary moments read the Chung numerators at (1, 1), a shift by +1
+after a diagonal scaling and a reversal; the private `_kernel` module runs
+them on the grid's integer numerators by the Pascal rule.  Each inversion
+is memoised once per grid, as a grid with its corner set, that the
+per-cell functions read one cell of.  The brute-force oracle never uses
+that kernel, so that it checks these results by independent routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from . import _kernel
@@ -46,40 +49,39 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
 
 # The tail maps pin the corner: P(S>=0, T>=0) = 1 and s[0][0] = 1 whatever
 # the grid they map holds there.
-_CORNER_ONE = (_kernel.tails_map, _kernel.tails_inverse_map)
+_CORNER_ONE = (_kernel.tails_axis, _kernel.tails_inverse_axis)
 
 
-def _inverse(grid: RationalGrid, coefficients) -> RationalGrid:
-    """coefficients(m) . grid . coefficients(n)^T, 1 at (0, 0) for the tail
-    maps, as a grid of least extent 0, built once per (grid, coefficients)."""
+def _inverse(grid: RationalGrid, axis) -> RationalGrid:
+    """The grid shifted by the kernel's `axis` map along both axes, 1 at
+    (0, 0) for the tail maps, as a grid of least extent 0, built once per
+    (grid, axis)."""
     def compute():
-        nums = _kernel.apply(coefficients(grid.m), grid.nums,
-                             coefficients(grid.n))
-        if coefficients in _CORNER_ONE:
+        nums = _kernel.shift_grid(grid.nums, axis, axis)
+        if axis in _CORNER_ONE:
             nums[0][0] = grid.den
         return RationalGrid.from_ints(grid.m, grid.n, nums, grid.den)
 
-    return _kernel.memo(grid, coefficients, compute)
+    return _kernel.memo(grid, axis, compute)
 
 
-def _cell(grid: RationalGrid, coefficients, names: str, i: int,
-          j: int) -> Fraction:
+def _cell(grid: RationalGrid, axis, names: str, i: int, j: int) -> Fraction:
     """Cell (i, j), checked in range and named by `names`, of the inversion."""
     _check_range(names[0], i, 0, grid.m)
     _check_range(names[1], j, 0, grid.n)
-    held = _inverse(grid, coefficients)
+    held = _inverse(grid, axis)
     return Fraction(held.nums[i][j], held.den)
 
 
 def pmf_grid_from_moments(mm: MomentMatrix) -> RationalGrid:
     """Every P(S=u, T=v) recovered from the moment grid (negative where the
     grid is not the moment grid of a pmf), built once per moment grid."""
-    return _inverse(mm, _kernel.pmf_map)
+    return _inverse(mm, _kernel.pmf_axis)
 
 
 def pmf_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
     """P(S=u, T=v) recovered from the moment grid."""
-    return _cell(mm, _kernel.pmf_map, "uv", u, v)
+    return _cell(mm, _kernel.pmf_axis, "uv", u, v)
 
 
 def tails_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
@@ -89,13 +91,13 @@ def tails_from_moments(mm: MomentMatrix, u: int, v: int) -> Fraction:
     bivariate coefficient C(i-1, u-1) is only meaningful for u >= 1.
     P(S>=0, T>=0) is 1 whatever s[0][0] holds.
     """
-    return _cell(mm, _kernel.tails_map, "uv", u, v)
+    return _cell(mm, _kernel.tails_axis, "uv", u, v)
 
 
 def tail_table_from_moments(mm: MomentMatrix) -> TailTable:
     """Every P(S>=u, T>=v) recovered from the moment grid, q[0][0] = 1; the
     memoised tail grid it copies may have extent 0, unlike a TailTable."""
-    held = _inverse(mm, _kernel.tails_map)
+    held = _inverse(mm, _kernel.tails_axis)
     return TailTable.from_ints(mm.m, mm.n, held.nums, held.den)
 
 
@@ -103,7 +105,7 @@ def moments_from_tails(tt: TailTable, i: int, j: int) -> Fraction:
     """Binomial moment s[i][j] recovered from the tail grid; inverse of
     tails_from_moments.  i = 0 or j = 0 use the univariate marginal form;
     s[0][0] is 1 whatever q[0][0] holds."""
-    return _cell(tt, _kernel.tails_inverse_map, "ij", i, j)
+    return _cell(tt, _kernel.tails_inverse_axis, "ij", i, j)
 
 
 def _poly_eval(grid: RationalGrid, t: Rational, s: Rational) -> Fraction:
@@ -113,11 +115,9 @@ def _poly_eval(grid: RationalGrid, t: Rational, s: Rational) -> Fraction:
     t, s = Fraction(t), Fraction(s)
     a, b, c, d = t.numerator, t.denominator, s.numerator, s.denominator
     m, n = grid.m, grid.n
-    [[total]] = _kernel.apply(
-        (tuple(a**u * b**(m - u) for u in range(m + 1)),),
-        grid.nums,
-        (tuple(c**v * d**(n - v) for v in range(n + 1)),),
-    )
+    wt = [c**v * d**(n - v) for v in range(n + 1)]
+    total = sum(a**u * b**(m - u) * sum(map(mul, row, wt))
+                for u, row in enumerate(grid.nums))
     return Fraction(total, grid.den * b**m * d**n)
 
 

@@ -1,9 +1,14 @@
-"""Reference implementations for the kernel tests: the direct per-cell double
-sums that the package evaluated before its maps went through the separable
-integer kernel.  Each returns the value (None for an undefined bound) or
-raises the same DomainError as the package function it mirrors."""
+"""Reference implementations for the kernel tests.
+
+The direct per-cell double sums are what the package evaluated before its
+maps went through the separable integer kernel; each returns the value
+(None for an undefined bound) or raises the same DomainError as the
+package function it mirrors.  The coefficient matrices are the kernel's
+maps as the package applied them before it ran them as Taylor shifts, with
+a literal matrix product."""
 
 from fractions import Fraction
+from math import comb
 
 from bvbounds import DomainError, binom
 
@@ -226,3 +231,50 @@ def moment_poly_eval(mm, t, s):
         for i in range(mm.m + 1)
         for j in range(mm.n + 1)
     ))
+
+
+# The kernel's maps as the literal coefficient matrices the package used
+# before its Taylor shifts: [r][c] for 0 <= r, c <= m.
+
+
+def _square(m, entry):
+    return [[entry(r, c) for c in range(m + 1)] for r in range(m + 1)]
+
+
+def moments_map(m):
+    """[i][u] = C(u, i): pmf -> binomial moments."""
+    return _square(m, lambda i, u: comb(u, i))
+
+
+def pmf_map(m):
+    """[u][i] = (-1)^(i-u) C(i, u): binomial moments -> pmf."""
+    return _square(m, lambda u, i: (-1) ** (i + u) * comb(i, u))
+
+
+def tails_map(m):
+    """[u][i] = (-1)^(i-u) C(i-1, u-1) for u >= 1, row 0 the unit vector:
+    binomial moments -> upper-orthant tails."""
+    return _square(m, lambda u, i: int(i == 0) if u == 0 else
+                   (-1) ** (i + u) * comb(i - 1, u - 1) if i else 0)
+
+
+def tails_inverse_map(m):
+    """[i][u] = C(u-1, i-1) for i >= 1, row 0 the unit vector: upper-orthant
+    tails -> binomial moments."""
+    return _square(m, lambda i, u: int(u == 0) if i == 0 else
+                   comb(u - 1, i - 1) if u else 0)
+
+
+def chung_map(m, s):
+    """[k][i] = (-1)^(i-s) C(i-1, s-1) C(m-i, k-i) for s <= i <= k: the
+    numerator weights of the Chung bound targeting s."""
+    return _square(m, lambda k, i: (-1) ** (i + s) * comb(i - 1, s - 1)
+                   * comb(m - i, k - i) if s <= i <= k else 0)
+
+
+def matrix_product(left, nums, right):
+    """left . nums . right^T over the integers, by two triple loops."""
+    half = [[sum(x * w for x, w in zip(row, r)) for r in right]
+            for row in nums]
+    return [[sum(l[i] * half[i][c] for i in range(len(half)))
+             for c in range(len(right))] for l in left]

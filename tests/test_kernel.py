@@ -1,4 +1,5 @@
 """The integer separable kernel against the direct double sums it replaced
+and its Taylor shifts against the coefficient matrices they replaced
 (tests/reference.py), the CLI against golden output, and the oracle's
 independence from the kernel."""
 
@@ -29,6 +30,14 @@ from bvbounds import (
     pmf_from_moments,
     tail_table_from_moments,
     tails_from_moments,
+)
+from bvbounds._kernel import (
+    chung_product,
+    moments_axis,
+    pmf_axis,
+    shift_grid,
+    tails_axis,
+    tails_inverse_axis,
 )
 from bvbounds.cli import main
 from bvbounds.transforms import moment_poly_eval
@@ -88,6 +97,42 @@ def span(extent):
 
 
 kernel_settings = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def int_grids(draw, lo=0):
+    """Integer numerators of an (m+1) x (n+1) grid, lo <= m, n <= 8, both
+    signs."""
+    m = draw(st.integers(lo, 8))
+    n = draw(st.integers(lo, 8))
+    row = st.lists(st.integers(-10**12, 10**12), min_size=n + 1,
+                   max_size=n + 1)
+    return draw(st.lists(row, min_size=m + 1, max_size=m + 1))
+
+
+@kernel_settings
+@given(int_grids())
+def test_shifts_equal_the_coefficient_matrices(nums):
+    m, n = len(nums) - 1, len(nums[0]) - 1
+    before = [row[:] for row in nums]
+    for axis, matrix in ((moments_axis, ref.moments_map),
+                         (pmf_axis, ref.pmf_map),
+                         (tails_axis, ref.tails_map),
+                         (tails_inverse_axis, ref.tails_inverse_map)):
+        assert shift_grid(nums, axis, axis) == ref.matrix_product(
+            matrix(m), nums, matrix(n))
+    assert nums == before
+
+
+@kernel_settings
+@given(int_grids(lo=1))
+def test_chung_product_equals_the_coefficient_matrices(nums):
+    m, n = len(nums) - 1, len(nums[0]) - 1
+    grid = MomentMatrix.from_ints(m, n, nums, 1)
+    for s in range(1, m + 1):
+        for t in range(1, n + 1):
+            assert chung_product(grid, s, t) == (ref.matrix_product(
+                ref.chung_map(m, s)[s:], nums, ref.chung_map(n, t)[t:]), 1)
 
 
 @kernel_settings
@@ -215,10 +260,11 @@ def test_results_are_cached_per_instance_without_changing_equality():
 
 
 def count_products(monkeypatch):
-    """A list that gains one entry for each `_kernel.apply` call from now."""
-    calls, apply = [], bvbounds._kernel.apply
-    monkeypatch.setattr(bvbounds._kernel, "apply",
-                        lambda *args: calls.append(args) or apply(*args))
+    """A list that gains one entry for each `_kernel.shift_grid` call from
+    now."""
+    calls, shift = [], bvbounds._kernel.shift_grid
+    monkeypatch.setattr(bvbounds._kernel, "shift_grid",
+                        lambda *args: calls.append(args) or shift(*args))
     return calls
 
 

@@ -171,12 +171,24 @@ def test_cli_does_not_name_the_sweeps():
     assert not strings & (set(bounds_mod.FAMILIES) | labels | {"c1/c3/c6"})
 
 
-def test_bound_family_choices_are_the_families():
+def bound_actions():
+    """The arguments of the `bound` subcommand."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    family = next(a for a in sub.choices["bound"]._actions
-                  if a.dest == "family")
+    return sub.choices["bound"]._actions
+
+
+def test_bound_family_choices_are_the_families():
+    family = next(a for a in bound_actions() if a.dest == "family")
     assert tuple(family.choices) == tuple(bounds_mod.FAMILIES)
+
+
+def test_bound_flags_are_the_family_parameters():
+    # the parser lists the flags itself, in its own order, so that a new
+    # family parameter has to be added there too
+    flags = {a.dest for a in bound_actions() if a.type is int}
+    assert flags == {p for params, _ in bounds_mod.FAMILIES.values()
+                     for p in params}
 
 
 def test_rising_families_are_two_depth_tables():
