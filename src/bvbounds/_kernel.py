@@ -11,28 +11,42 @@ outside the scaling.  It runs on a grid's integer numerators
 (`model.RationalGrid.nums`), and its ints are read over the grid's
 denominator `den`.
 
-A product read more than once is memoised once per grid, in one form, in
-the frozen object's `__dict__`, which grid equality and hashing ignore.  The
+A product read more than once is memoised once per grid, in one form, by
+the `memoised` decorator: `fn(grid, *args)` is held under the key
+`(fn, *args)` in the frozen grid's `__dict__`, which grid equality and
+hashing ignore, so a call that finds it held costs one dict probe.  The
 brute-force oracle must not use this module: it checks the kernel.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, wraps
 from math import comb
 from operator import add, sub
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
 IntGrid = List[List[int]]
-T = TypeVar("T")
+F = TypeVar("F", bound=Callable)
 
 
-def memo(obj, key, compute: Callable[[], T]) -> T:
-    """compute(), evaluated once per (obj, key)."""
-    store = vars(obj).setdefault("_kernel_memo", {})
-    if key not in store:
-        store[key] = compute()
-    return store[key]
+def memoised(fn: F) -> F:
+    """fn(grid, *args), computed once per (grid, args) and then returned
+    after one probe of the grid's memo, before fn checks its arguments: a
+    result is stored only once fn has returned, and a grid's extents never
+    change, so arguments found held are valid.  A call that raises stores
+    nothing."""
+    @wraps(fn)
+    def held(grid, *args):
+        key = (fn, *args)
+        try:
+            return grid.__dict__["_kernel_memo"][key]
+        except KeyError:
+            pass
+        value = fn(grid, *args)
+        grid.__dict__.setdefault("_kernel_memo", {})[key] = value
+        return value
+
+    return held
 
 
 def _pascal(lines: list, op, first: int = 0) -> list:
@@ -75,6 +89,7 @@ def shift_grid(nums: Sequence[Sequence[int]], along_rows: Callable,
     return list(map(list, zip(*along_cols(list(zip(*half))))))
 
 
+@memoised
 def chung_product(grid, s: int, t: int) -> Tuple[IntGrid, int]:
     """(numerators [k-s][l-t] = sum over s <= i <= k, t <= j <= l of
     (-1)^(i+j-s-t) C(i-1, s-1) C(m-i, k-i) C(j-1, t-1) C(n-j, l-j) s[i][j],
@@ -82,9 +97,8 @@ def chung_product(grid, s: int, t: int) -> Tuple[IntGrid, int]:
     of `_chung_axis` along each axis.  At (1, 1) it is also A . s . B^T of
     the complementary moments, A[k][i] = (-1)^i C(m-i, k-i) and B likewise:
     the signs cancel."""
-    return memo(grid, (chung_product, s, t), lambda: (shift_grid(
-        grid.nums, partial(_chung_axis, s=s), partial(_chung_axis, s=t)),
-        grid.den))
+    return (shift_grid(grid.nums, partial(_chung_axis, s=s),
+                       partial(_chung_axis, s=t)), grid.den)
 
 
 def antidiagonal_prefix(nums: IntGrid, wa: Sequence[int],

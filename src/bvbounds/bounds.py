@@ -13,12 +13,16 @@ Families:
     moments s11, s12, s21, s22.
 
 Every bound is an integer numerator over an integer denominator.  A
-*sweep*, computed once per grid, family and target of the first four,
-holds the (numerator, denominator) ints of every legal depth (k, l), or k
-for Bonferroni, read off one memoised kernel product (the Chung numerators
-of the target, or at (1, 1) for the type pair) or the Bonferroni
-anti-diagonal prefix; a denominator of 0 marks an undefined bound.  The
-per-bound functions read one cell (c1, c3 and c6 compute one pair) and
+*sweep* of each of the first four families at a target holds the
+(numerator, denominator) ints of every legal depth (k, l), or k for
+Bonferroni, read off one memoised kernel product (the Chung numerators of
+the target, or at (1, 1) for the type pair) or the Bonferroni
+anti-diagonal prefix; a denominator of 0 marks an undefined bound.  Each
+sweep function is wrapped by `_kernel.memoised`, so it checks the target
+and computes once per grid and target, and a repeat call returns the held
+sweep after one memo probe.  The per-bound functions test their depth in
+one chained comparison, reaching the per-parameter `_check_range` messages
+only when it fails, read one cell (c1, c3 and c6 compute one pair) and
 return a `BoundValue` that holds it and builds its `Fraction` only when
 `value` is read.  The Frechet and Gumbel families are the type pair at
 target (1, 1), and Gumbel is Chung at (1, 1): both hold the same
@@ -113,6 +117,7 @@ def _tail_weights(m: int, u: int) -> List[int]:
             for i in range(m + 1)]
 
 
+@_kernel.memoised
 def bonferroni_sweep(
     mm: MomentMatrix, u: int, v: int
 ) -> Tuple[List[Pair], List[Pair]]:
@@ -122,18 +127,15 @@ def bonferroni_sweep(
     Both equal the exact tail at K, as does every deeper cut."""
     _check_range("u", u, 1, mm.m)
     _check_range("v", v, 1, mm.n)
-
-    def compute():
-        den = mm.den
-        prefix = _kernel.antidiagonal_prefix(
-            mm.nums, _tail_weights(mm.m, u), _tail_weights(mm.n, v))
-        last, cuts = mm.m + mm.n, range(u + v, mm.m + mm.n + 3, 2)
-        return ([(prefix[min(c + 1, last)], den) for c in cuts],
-                [(prefix[min(c, last)], den) for c in cuts])
-
-    return _kernel.memo(mm, ("bonferroni", u, v), compute)
+    den = mm.den
+    prefix = _kernel.antidiagonal_prefix(
+        mm.nums, _tail_weights(mm.m, u), _tail_weights(mm.n, v))
+    last, cuts = mm.m + mm.n, range(u + v, mm.m + mm.n + 3, 2)
+    return ([(prefix[min(c + 1, last)], den) for c in cuts],
+            [(prefix[min(c, last)], den) for c in cuts])
 
 
+@_kernel.memoised
 def type_sweep(mm: MomentMatrix, s: int,
                t: int) -> Tuple[PairGrid, PairGrid]:
     """(lower, upper) pair targeting P(S>=s, T>=t), [k-1][l-1] for
@@ -149,24 +151,21 @@ def type_sweep(mm: MomentMatrix, s: int,
     _check_range("t", t, 1, mm.n)
     m, n = mm.m, mm.n
     ks, ls = range(1, m + 1), range(1, n + 1)
-
-    def compute():
-        part, den = _kernel.chung_product(mm, 1, 1)
-        full_a = [comb(m, k) * den for k in ks]
-        full_b = [comb(n, l) for l in ls]
-        lo_a = [comb(m - s + 1, k) * den for k in ks]
-        lo_b = [comb(n - t + 1, l) for l in ls]
-        # 1 - Sbar / d = (d - C(m,k) C(n,l) + part) / d
-        lower = [[(a * b - fa * fb + x, a * b)
-                  for x, b, fb in zip(row, lo_b, full_b)]
-                 for row, a, fa in zip(part, lo_a, full_a)]
-        return lower, _grid(
-            part, [(comb(m, k) - comb(m - s, k)) * den for k in ks],
-            [comb(n, l) - comb(n - t, l) for l in ls])
-
-    return _kernel.memo(mm, ("type", s, t), compute)
+    part, den = _kernel.chung_product(mm, 1, 1)
+    full_a = [comb(m, k) * den for k in ks]
+    full_b = [comb(n, l) for l in ls]
+    lo_a = [comb(m - s + 1, k) * den for k in ks]
+    lo_b = [comb(n - t + 1, l) for l in ls]
+    # 1 - Sbar / d = (d - C(m,k) C(n,l) + part) / d
+    lower = [[(a * b - fa * fb + x, a * b)
+              for x, b, fb in zip(row, lo_b, full_b)]
+             for row, a, fa in zip(part, lo_a, full_a)]
+    return lower, _grid(
+        part, [(comb(m, k) - comb(m - s, k)) * den for k in ks],
+        [comb(n, l) - comb(n - t, l) for l in ls])
 
 
+@_kernel.memoised
 def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
     """Alternating ratio bound on P(S>=s, T>=t), [k-s][l-t] for s <= k <= m,
     t <= l <= n: alpha . s . beta^T over C(m-s,k-s) C(n-t,l-t)."""
@@ -175,13 +174,9 @@ def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
     if not (1 <= t <= mm.n):
         raise DomainError("need 1 <= t <= l <= n")
     m, n = mm.m, mm.n
-
-    def compute():
-        nums, den = _kernel.chung_product(mm, s, t)
-        return _grid(nums, [comb(m - s, k - s) * den for k in range(s, m + 1)],
-                     [comb(n - t, l - t) for l in range(t, n + 1)])
-
-    return _kernel.memo(mm, ("chung", s, t), compute)
+    nums, den = _kernel.chung_product(mm, s, t)
+    return _grid(nums, [comb(m - s, k - s) * den for k in range(s, m + 1)],
+                 [comb(n - t, l - t) for l in range(t, n + 1)])
 
 
 class Table(NamedTuple):
@@ -239,8 +234,9 @@ def bonferroni_pair(
 
 def frechet_lower(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     """Product-form lower bound on P(S>=1, T>=1)."""
-    _check_range("k", k, 1, mm.m)
-    _check_range("l", l, 1, mm.n)
+    if not (1 <= k <= mm.m and 1 <= l <= mm.n):
+        _check_range("k", k, 1, mm.m)
+        _check_range("l", l, 1, mm.n)
     return _ratio(type_sweep(mm, 1, 1)[0][k - 1][l - 1], LOWER, "frechet",
                   {"k": k, "l": l})
 
@@ -248,8 +244,9 @@ def frechet_lower(mm: MomentMatrix, k: int, l: int) -> BoundValue:
 def gumbel_upper(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     """Ratio-form upper bound on P(S>=1, T>=1); at k=l=1 it reduces to
     s[1][1], the first-order truncation."""
-    _check_range("k", k, 1, mm.m)
-    _check_range("l", l, 1, mm.n)
+    if not (1 <= k <= mm.m and 1 <= l <= mm.n):
+        _check_range("k", k, 1, mm.m)
+        _check_range("l", l, 1, mm.n)
     return _ratio(type_sweep(mm, 1, 1)[1][k - 1][l - 1], UPPER, "gumbel",
                   {"k": k, "l": l})
 
@@ -260,8 +257,9 @@ def frechet_gumbel_type(
     """Generalized lower/upper pair targeting P(S>=s, T>=t); either bound is
     undefined when its denominator vanishes."""
     lower, upper = type_sweep(mm, s, t)
-    _check_range("k", k, 1, mm.m)
-    _check_range("l", l, 1, mm.n)
+    if not (1 <= k <= mm.m and 1 <= l <= mm.n):
+        _check_range("k", k, 1, mm.m)
+        _check_range("l", l, 1, mm.n)
     params = {"s": s, "t": t, "k": k, "l": l}
     return (_ratio(lower[k - 1][l - 1], LOWER, "frechet_type", params),
             _ratio(upper[k - 1][l - 1], UPPER, "gumbel_type", params))

@@ -113,10 +113,13 @@ def _grid_from_json(doc: dict, key: str, path: str, cls):
     for u, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n + 1:
             raise InputError(f"{path}: row {u} must have {n + 1} entries")
-        grid.append(
-            [parse_rational(str(x), f"{path} row {u} col {v}")
-             for v, x in enumerate(row)]
-        )
+        try:
+            grid.append([parse_rational(str(x), path) for x in row])
+        except InputError:
+            # name the first bad cell: its location is built only here
+            for v, x in enumerate(row):
+                parse_rational(str(x), f"{path} row {u} col {v}")
+            raise
     return cls.from_ints(m, n, *model.common_denominator(grid))
 
 

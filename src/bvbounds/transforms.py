@@ -15,8 +15,9 @@ Each of these maps is a Taylor shift x -> x - 1 or x + 1 along each axis
 complementary moments read the Chung numerators at (1, 1), a shift by +1
 after a diagonal scaling and a reversal; the private `_kernel` module runs
 them on the grid's integer numerators by the Pascal rule.  Each inversion
-is memoised once per grid, as a grid with its corner set, that the
-per-cell functions read one cell of.  The brute-force oracle never uses
+is memoised once per grid by `_kernel.memoised`, as a grid with its corner
+set, that the per-cell functions read one cell of after one chained range
+test and one memo probe.  The brute-force oracle never uses
 that kernel, so that it checks these results by independent routes.
 """
 
@@ -52,23 +53,22 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
 _CORNER_ONE = (_kernel.tails_axis, _kernel.tails_inverse_axis)
 
 
+@_kernel.memoised
 def _inverse(grid: RationalGrid, axis) -> RationalGrid:
     """The grid shifted by the kernel's `axis` map along both axes, 1 at
     (0, 0) for the tail maps, as a grid of least extent 0, built once per
     (grid, axis)."""
-    def compute():
-        nums = _kernel.shift_grid(grid.nums, axis, axis)
-        if axis in _CORNER_ONE:
-            nums[0][0] = grid.den
-        return RationalGrid.from_ints(grid.m, grid.n, nums, grid.den)
-
-    return _kernel.memo(grid, axis, compute)
+    nums = _kernel.shift_grid(grid.nums, axis, axis)
+    if axis in _CORNER_ONE:
+        nums[0][0] = grid.den
+    return RationalGrid.from_ints(grid.m, grid.n, nums, grid.den)
 
 
 def _cell(grid: RationalGrid, axis, names: str, i: int, j: int) -> Fraction:
     """Cell (i, j), checked in range and named by `names`, of the inversion."""
-    _check_range(names[0], i, 0, grid.m)
-    _check_range(names[1], j, 0, grid.n)
+    if not (0 <= i <= grid.m and 0 <= j <= grid.n):
+        _check_range(names[0], i, 0, grid.m)
+        _check_range(names[1], j, 0, grid.n)
     held = _inverse(grid, axis)
     return Fraction(held.nums[i][j], held.den)
 
@@ -152,8 +152,9 @@ def complementary_moment(mm: MomentMatrix, k: int, l: int) -> Fraction:
         A[k][i] = (-1)^i C(m-i, k-i) for 1 <= i <= k, B likewise in n;
 
     A . s . B^T is the Chung numerator product at (1, 1)."""
-    _check_range("k", k, 1, mm.m)
-    _check_range("l", l, 1, mm.n)
+    if not (1 <= k <= mm.m and 1 <= l <= mm.n):
+        _check_range("k", k, 1, mm.m)
+        _check_range("l", l, 1, mm.n)
     part, den = _kernel.chung_product(mm, 1, 1)
     return Fraction(comb(mm.m, k) * comb(mm.n, l) * den - part[k - 1][l - 1],
                     den)

@@ -340,6 +340,28 @@ class TestErrors:
         assert status == 1
         assert "row 0 col 0" in err
 
+    @pytest.mark.parametrize("u, v, cell, reason", [
+        (2, 1, "x", "cannot parse rational 'x': Invalid literal for "
+                    "Fraction: 'x'"),
+        (1, 2, "3/0", "cannot parse rational '3/0': Fraction(3, 0)"),
+        (2, 2, "1/2e5000", "the decimal exponent of '1/2e5000' exceeds the "
+                           "limit of 1000 in absolute value"),
+    ])
+    @pytest.mark.parametrize("grid", ["p", "s"])
+    def test_bad_rational_error_text(self, tmp_path, capsys, u, v, cell,
+                                     reason, grid):
+        # good cells before the bad one, in its row and in the rows above,
+        # and a second bad cell after it that must not be the one named
+        cells = [["1/3", "0", "0"], ["0", "1/3", "0"], ["0", "0", "1/3"]]
+        cells[u][v] = cell
+        if v < 2:
+            cells[u][2] = "y"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"m": 2, "n": 2, grid: cells}))
+        status, out, err = run(["moments", "--in", str(path)], capsys)
+        assert status == 1 and out == ""
+        assert err == f"error: {path} row {u} col {v}: {reason}\n"
+
     def test_bad_csv_indicator(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("weight,A1,B1\n1,2,0\n")
