@@ -3,11 +3,12 @@
 Every map from the moment grid used by this package is a Taylor shift
 x -> x + 1 or x - 1 along each axis of the grid, possibly after a diagonal
 integer scaling and a reversal, or a ratio of such a map and a product of
-binomial coefficients.  The shift runs by the Pascal rule on whole rows:
-for i in 0..m-1 and j from m-1 down to i, row j becomes row j plus (or
-minus) row j+1.  That is m(m+1)/2 row additions along the first axis and,
-after one transpose, n(n+1)/2 along the second, and no multiplication
-outside the scaling.  It runs on a grid's integer numerators
+binomial coefficients.  The one scaling, of the Chung numerators, is the
+tail inversion's row `tail_weights`, which the Bonferroni cuts read too.
+The shift runs by the Pascal rule on whole rows: for i in 0..m-1 and j
+from m-1 down to i, row j becomes row j plus (or minus) row j+1.  That is
+m(m+1)/2 row additions along the first axis and, after one transpose,
+n(n+1)/2 along the second, and no multiplication outside the scaling.  It runs on a grid's integer numerators
 (`model.RationalGrid.nums`), and its ints are read over the grid's
 denominator `den`.
 
@@ -71,14 +72,21 @@ tails_axis = partial(_pascal, op=sub, first=1)
 tails_inverse_axis = partial(_pascal, op=add, first=1)
 
 
+def tail_weights(m: int, s: int) -> List[int]:
+    """[i] = (-1)^(i-s) C(i-1, s-1) for s <= i <= m, 0 below: the tail
+    inversion's row at s >= 1, read by the Bonferroni and Chung bounds."""
+    return [(-1) ** (i - s) * comb(i - 1, s - 1) if i >= s else 0
+            for i in range(m + 1)]
+
+
 def _chung_axis(lines: list, s: int) -> list:
-    """[k-s] = sum over s <= i <= k of (-1)^(i-s) C(i-1, s-1) C(m-i, k-i)
+    """[k-s] = sum over s <= i <= k of tail_weights(m, s)[i] C(m-i, k-i)
     lines[i] for s <= k <= m = len(lines) - 1: the Chung numerator weights
     of target s.  Since C(m-i, k-i) = C(m-i, m-k), this is the shift by +1
     of the scaled entries in reverse order, read in reverse order."""
-    scaled = [[(-1) ** (i - s) * comb(i - 1, s - 1) * x for x in lines[i]]
-              for i in range(len(lines) - 1, s - 1, -1)]
-    return _pascal(scaled, add)[::-1]
+    weights = tail_weights(len(lines) - 1, s)[s:]
+    scaled = [[w * x for x in line] for w, line in zip(weights, lines[s:])]
+    return _pascal(scaled[::-1], add)[::-1]
 
 
 def shift_grid(nums: Sequence[Sequence[int]], along_rows: Callable,

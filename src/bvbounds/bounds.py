@@ -110,13 +110,6 @@ def _grid(nums, a, b) -> PairGrid:
             for row, ai in zip(nums, a)]
 
 
-def _tail_weights(m: int, u: int) -> List[int]:
-    """[i] = (-1)^(i-u) C(i-1, u-1) for u <= i <= m, 0 below: the weights of
-    the tail inversion at u >= 1."""
-    return [(-1) ** (i - u) * comb(i - 1, u - 1) if i >= u else 0
-            for i in range(m + 1)]
-
-
 @_kernel.memoised
 def bonferroni_sweep(
     mm: MomentMatrix, u: int, v: int
@@ -129,7 +122,7 @@ def bonferroni_sweep(
     _check_range("v", v, 1, mm.n)
     den = mm.den
     prefix = _kernel.antidiagonal_prefix(
-        mm.nums, _tail_weights(mm.m, u), _tail_weights(mm.n, v))
+        mm.nums, _kernel.tail_weights(mm.m, u), _kernel.tail_weights(mm.n, v))
     last, cuts = mm.m + mm.n, range(u + v, mm.m + mm.n + 3, 2)
     return ([(prefix[min(c + 1, last)], den) for c in cuts],
             [(prefix[min(c, last)], den) for c in cuts])

@@ -264,6 +264,9 @@ def cmd_moments(args, out) -> int:
         mm = model.moments_from_pmf(model.counting_pmf(obj))
         agree = grid.s == tuple(row[:lmax + 1] for row in mm.s[:kmax + 1])
         title = "bonferroni sums S_{k,l}:"
+    elif args.kmax is not None or args.lmax is not None:
+        raise InputError(f"{args.infile}: --kmax/--lmax apply to an event "
+                         "CSV input only")
     else:
         grid, title = model.moments_from_pmf(obj), "binomial moments s[i][j]:"
     if args.json:
@@ -296,7 +299,11 @@ def _require_flag(args, name: str) -> int:
 def cmd_bound(args, out) -> int:
     mm = to_moments(load_instance(args.infile))
     flags, bounds = bnd.FAMILIES[args.family]
-    for b in bounds(mm, *(_require_flag(args, flag) for flag in flags)):
+    values = [_require_flag(args, flag) for flag in flags]
+    for flag in BOUND_FLAGS:
+        if flag not in flags and getattr(args, flag) is not None:
+            raise InputError(f"--family {args.family} does not take --{flag}")
+    for b in bounds(mm, *values):
         _emit_bound(b, args.clamp, out)
     return EXIT_OK
 
@@ -311,8 +318,7 @@ def cmd_sweep(args, out) -> int:
     grid = table.cells()
     print(f"{fam} sweep over (k, l):", file=out)
     for row in grid:
-        print("  " + "  ".join(str(Fraction(*cell)) for cell in row),
-              file=out)
+        print("  " + "  ".join(cell_text(*cell) for cell in row), file=out)
     # by cell, then axis; an axis's monotonicity check precedes its curvature
     failures = sorted(oracle.shape_failures(fam, grid, table.first),
                       key=lambda f: (f.params["k"], f.params["l"],
@@ -439,6 +445,9 @@ def _specs(args):
 
 
 FAMILY_CHOICES = tuple(bnd.FAMILIES)
+# Every parameter flag of `bound`, in the parser's order; each family takes
+# the ones its `bounds.FAMILIES` entry names.
+BOUND_FLAGS = ("u", "v", "s", "t", "k", "l", "a", "b")
 
 
 @lru_cache(maxsize=None)
@@ -469,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bound", cmd_bound, "evaluate one bound")
     p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
-    for flag in ("u", "v", "s", "t", "k", "l", "a", "b"):
+    for flag in BOUND_FLAGS:
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--clamp", action="store_true")
 

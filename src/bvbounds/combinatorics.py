@@ -10,7 +10,6 @@ a zero factor, so the coefficient vanishes as expected.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Union
 
@@ -21,35 +20,23 @@ class DomainError(ValueError):
     """A parameter fell outside the domain stated for an operation."""
 
 
-@lru_cache(maxsize=None)
-def _int_binom(d: int, r: int) -> int:
-    # r >= 1 here; negative d handled by the falling factorial, which
-    # divides exactly since binom(d, r) = (-1)^r * comb(r - d - 1, r).
-    if d >= 0:
-        return comb(d, r)
-    num = 1
-    for i in range(r):
-        num *= d - i
-    return num // factorial(r)
-
-
 def binom(d: Rational, r: int) -> Rational:
     """Generalized binomial coefficient, exact.
 
-    Returns an int for integer d, a Fraction otherwise.
+    Returns an int for integer d, by math.comb ((-1)^r C(r-d-1, r) for
+    d < 0), a Fraction otherwise.
     """
     if r < 0:
         return 0
     if r == 0:
         return 1
-    if isinstance(d, int):
-        return _int_binom(d, r)
-    d = Fraction(d)
-    if d.denominator == 1:
-        return _int_binom(d.numerator, r)
+    q = Fraction(d)
+    if q.denominator == 1:
+        d = q.numerator
+        return comb(d, r) if d >= 0 else (-1) ** r * comb(r - d - 1, r)
     num = Fraction(1)
     for i in range(r):
-        num *= d - i
+        num *= q - i
     return num / factorial(r)
 
 

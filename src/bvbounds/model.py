@@ -5,14 +5,16 @@ moments, together with the bridges between them.
 Every grid of rationals (a `RationalGrid`: `JointPMF`, `MomentMatrix`,
 `transforms.TailTable`) is held once, as integer numerators `nums` over the
 least common denominator `den` of its reduced entries, so equality and
-hashing follow the values.  Its `Fraction` view (`p`, `s` or `q`) is built
-when first read; a grid constructed from rationals keeps them as its view.
-The kernel reads the numerators and its products come back as ints."""
+hashing follow the values.  Its `Fraction` view (`p`, `s`, `q` or `cells`),
+a `cached_property` of one `RationalGrid._view`, is built when first read; a
+grid constructed from rationals keeps them as its view.  The kernel reads the
+numerators and its products come back as ints."""
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb, gcd, lcm
 from typing import List, Sequence, Tuple
@@ -33,9 +35,9 @@ class RationalGrid:
     """A frozen (m+1) x (n+1) grid of rationals, held as `nums` over `den`.
     RationalGrid(m, n, cells) keeps the Fractions of its cells as its view;
     from_ints(m, n, nums, den) holds nums[u][v] / den (ints, den > 0) and
-    builds the view when it is first read.  A subclass names its view
-    (VIEW), its grid in a shape error (WHAT) and its least extent (LEAST),
-    and may extend `_hold` to check its values."""
+    builds the view when it is first read.  A subclass names its view (VIEW,
+    a `cached_property` of `_view`), its grid in a shape error (WHAT) and
+    its least extent (LEAST), and may extend `_hold` to check its values."""
 
     VIEW, WHAT, LEAST = "cells", "rational", 0
 
@@ -68,12 +70,11 @@ class RationalGrid:
         self.__dict__.update(m=m, n=n, den=den // g, nums=tuple(
             tuple(x // g for x in row) for row in nums))
 
-    def __getattr__(self, name: str):  # reached only while the view is unbuilt
-        if name != self.VIEW or "nums" not in vars(self):
-            raise AttributeError(name)
-        view = self.__dict__[name] = tuple(
-            tuple(Fraction(x, self.den) for x in row) for row in self.nums)
-        return view
+    def _view(self) -> Grid:
+        return tuple(tuple(Fraction(x, self.den) for x in row)
+                     for row in self.nums)
+
+    cells = cached_property(_view)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -97,7 +98,7 @@ class JointPMF(RationalGrid):
     """Exact joint law of (S, T) on {0..m} x {0..n}."""
 
     VIEW, WHAT, LEAST = "p", "pmf", 1
-    p: Grid
+    p = cached_property(RationalGrid._view)
 
     def __init__(self, m: int, n: int, p: Sequence[Sequence]):
         super().__init__(m, n, p)
@@ -149,7 +150,7 @@ class MomentMatrix(RationalGrid):
     its extents may be 0 (truncated Bonferroni-sum grids)."""
 
     VIEW, WHAT, LEAST = "s", "moment", 0
-    s: Grid
+    s = cached_property(RationalGrid._view)
 
     def __init__(self, m: int, n: int, s: Sequence[Sequence]):
         super().__init__(m, n, s)
@@ -170,7 +171,8 @@ SUBSET_CHECK_LIMIT = 1_000_000
 
 def bonferroni_sums(es: EventSystem, kmax: int, lmax: int) -> MomentMatrix:
     """Bonferroni sums over all (k, l)-fold intersections of the two event
-    families, by direct subset enumeration over atoms.
+    families, by direct subset enumeration over atoms, summing their integer
+    weights over the lcm of their denominators.
 
     Entry (k, 0) and (0, l) are the univariate sums; entry (0, 0) = 1.
     Deliberately independent of the counting-pmf route so the two can be
@@ -187,15 +189,17 @@ def bonferroni_sums(es: EventSystem, kmax: int, lmax: int) -> MomentMatrix:
             f"(subset pair, atom) checks, over the limit of "
             f"{SUBSET_CHECK_LIMIT}; lower kmax/lmax"
         )
-    def total(k: int, l: int) -> Fraction:
-        return sum((w for a_sub in combinations(range(es.m), k)
-                    for b_sub in combinations(range(es.n), l)
-                    for w, a, b in es.atoms
-                    if all(a[i] for i in a_sub) and all(b[j] for j in b_sub)),
-                   Fraction(0))
+    den = lcm(*(w.denominator for w, _, _ in es.atoms))
+    atoms = [(w.numerator * (den // w.denominator), a, b)
+             for w, a, b in es.atoms]
+    def total(k: int, l: int) -> int:
+        return sum(x for a_sub in combinations(range(es.m), k)
+                   for b_sub in combinations(range(es.n), l)
+                   for x, a, b in atoms
+                   if all(a[i] for i in a_sub) and all(b[j] for j in b_sub))
 
-    return MomentMatrix(kmax, lmax, [[total(k, l) for l in range(lmax + 1)]
-                                     for k in range(kmax + 1)])
+    return MomentMatrix.from_ints(kmax, lmax, [
+        [total(k, l) for l in range(lmax + 1)] for k in range(kmax + 1)], den)
 
 
 def counting_pmf(es: EventSystem) -> JointPMF:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
@@ -69,13 +69,7 @@ class InstanceSpec:
             raise DomainError("event_system instances need atoms >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "m": self.m,
-            "n": self.n,
-            "kind": self.kind,
-            "atoms": self.atoms,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -24,20 +24,21 @@ that kernel, so that it checks these results by independent routes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from operator import mul
 from typing import Sequence
 
 from . import _kernel
 from .combinatorics import DomainError, Rational
-from .model import Grid, JointPMF, MomentMatrix, RationalGrid
+from .model import JointPMF, MomentMatrix, RationalGrid
 
 
 class TailTable(RationalGrid):
     """Grid of upper-orthant tail probabilities q[u][v] = P(S>=u, T>=v)."""
 
     VIEW, WHAT, LEAST = "q", "tail", 1
-    q: Grid
+    q = cached_property(RationalGrid._view)
 
     def __init__(self, m: int, n: int, q: Sequence[Sequence]):
         super().__init__(m, n, q)

@@ -1,13 +1,15 @@
-"""Reference implementations for the kernel tests.
+"""Reference implementations for the kernel and model tests.
 
 The direct per-cell double sums are what the package evaluated before its
 maps went through the separable integer kernel; each returns the value
 (None for an undefined bound) or raises the same DomainError as the
-package function it mirrors.  The coefficient matrices are the kernel's
-maps as the package applied them before it ran them as Taylor shifts, with
-a literal matrix product."""
+package function it mirrors.  `bonferroni_sums` is the Fraction sum over
+subset pairs that the package made before it summed integer weights.  The
+coefficient matrices are the kernel's maps as the package applied them
+before it ran them as Taylor shifts, with a literal matrix product."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from bvbounds import DomainError, binom
@@ -30,6 +32,19 @@ def moments_from_pmf(pmf):
         ]
         for i in range(pmf.m + 1)
     ]
+
+
+def bonferroni_sums(es, kmax, lmax):
+    """[k][l]: the Fraction weights of the atoms in every k-subset of the A
+    events and l-subset of the B events, summed over all subset pairs."""
+    def total(k, l):
+        return sum((w for a_sub in combinations(range(es.m), k)
+                    for b_sub in combinations(range(es.n), l)
+                    for w, a, b in es.atoms
+                    if all(a[i] for i in a_sub) and all(b[j] for j in b_sub)),
+                   Fraction(0))
+
+    return [[total(k, l) for l in range(lmax + 1)] for k in range(kmax + 1)]
 
 
 def pmf_from_moments(mm, u, v):

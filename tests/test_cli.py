@@ -324,6 +324,64 @@ class TestErrors:
                               "--lmax", "3"], capsys)
         assert status == 0 and "OK" in out
 
+    # each family's own flags, with values in range on pmf6.json
+    FAMILY_ARGS = {
+        "bonferroni": ["--u", "1", "--v", "1", "--k", "0"],
+        "frechet": ["--k", "1", "--l", "1"],
+        "gumbel": ["--k", "1", "--l", "1"],
+        "type": ["--s", "1", "--t", "1", "--k", "1", "--l", "1"],
+        "chung": ["--s", "1", "--t", "1", "--k", "1", "--l", "1"],
+        "c1": [],
+        "c3": ["--a", "5", "--b", "5"],
+        "c6": [],
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
+    def test_bound_refuses_a_flag_its_family_does_not_take(self, capsys,
+                                                           family):
+        base = ["bound", "--in", str(GOLDEN / "pmf6.json"), "--family",
+                family] + self.FAMILY_ARGS[family]
+        assert run(base, capsys)[0] == 0
+        taken = bnd.FAMILIES[family][0]
+        for flag in cli.BOUND_FLAGS:
+            if flag not in taken:
+                status, out, err = run(base + [f"--{flag}", "2"], capsys)
+                assert (status, out) == (1, "")
+                assert err == (f"error: --family {family} does not take "
+                               f"--{flag}\n")
+
+    def test_bound_names_the_first_stray_flag_after_a_missing_one(self,
+                                                                  capsys):
+        pmf6 = str(GOLDEN / "pmf6.json")
+        # the stray flags in the parser's order, whatever their order here
+        status, out, err = run(["bound", "--in", pmf6, "--family", "gumbel",
+                                "--t", "4", "--s", "3", "--k", "1", "--l",
+                                "1"], capsys)
+        assert (status, out) == (1, "")
+        assert err == "error: --family gumbel does not take --s\n"
+        # a missing flag is reported first, as before
+        status, out, err = run(["bound", "--in", pmf6, "--family", "gumbel",
+                                "--s", "3", "--k", "1"], capsys)
+        assert (status, out) == (1, "")
+        assert err == "error: --family gumbel requires --l\n"
+
+    @pytest.mark.parametrize("flags", [["--kmax", "1", "--lmax", "1"],
+                                       ["--kmax", "6"], ["--lmax", "0"]])
+    def test_moments_depth_flags_need_an_event_csv(self, capsys, flags):
+        pmf6 = GOLDEN / "pmf6.json"
+        status, out, err = run(["moments", "--in", str(pmf6)] + flags,
+                               capsys)
+        assert (status, out) == (1, "")
+        assert err == (f"error: {pmf6}: --kmax/--lmax apply to an event CSV "
+                       "input only\n")
+        # a moment grid is refused for what it is, as before
+        moments6 = GOLDEN / "moments6.json"
+        status, out, err = run(["moments", "--in", str(moments6)] + flags,
+                               capsys)
+        assert (status, out) == (1, "")
+        assert err == (f"error: {moments6}: moments input makes no sense "
+                       "here\n")
+
     def test_bad_pmf_sum(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"m": 1, "n": 1,

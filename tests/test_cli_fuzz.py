@@ -1,9 +1,10 @@
 """Fuzzing the command line: whatever its arguments and input file, `main`
 never raises, exits 0, 1 or 2, and every exit 1 writes an `error:` line to
 stderr.  One test feeds well-formed pmf, moment and event files with every
-flag a small integer, in range or not, so that the computing paths run;
-the other feeds malformed JSON and CSV, arbitrary bytes, non-integer flag
-values, missing and foreign flags."""
+flag a small integer, in range or not; a second feeds the same with only
+the flags each subcommand takes for its input and family, so that the
+computing paths run; the third feeds malformed JSON and CSV, arbitrary
+bytes, non-integer flag values, missing and foreign flags."""
 
 import contextlib
 import io
@@ -13,8 +14,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bvbounds import JointPMF, moments_from_pmf
-from bvbounds.cli import FAMILY_CHOICES, main
+from bvbounds import JointPMF, bounds as bnd, moments_from_pmf
+from bvbounds.cli import BOUND_FLAGS, FAMILY_CHOICES, main
 from bvbounds.oracle import ALL_PROPERTIES
 
 # True about one time in four.  (Hypothesis leans towards the least
@@ -198,7 +199,7 @@ def invocations(draw, malformed):
     if bad_flags and optional:
         flags += draw(st.lists(st.sampled_from(optional), unique=True,
                                max_size=len(optional)))
-    else:  # every flag the subcommand may need; it ignores the others
+    else:  # every flag the subcommand may need, and some it refuses
         flags += [f for f in optional if f not in SWITCHES or draw(rarely)]
     values = MALFORMED_VALUES if bad_flags else WELL_FORMED_VALUES
     if bad_flags and draw(rarely):
@@ -242,6 +243,32 @@ fuzz_settings = settings(max_examples=250, deadline=None,
 @fuzz_settings
 @given(invocations(malformed=False))
 def test_well_formed_input_never_raises(workdir, case):
+    check(workdir, case)
+
+
+def taken_flags_only(case):
+    """case without the flags its subcommand refuses: `bound` takes only its
+    family's parameters, and `moments` takes --kmax/--lmax only with an
+    event CSV."""
+    argv, content, suffix = case
+    refused = set()
+    if argv[0] == "bound":
+        family = argv[argv.index("--family") + 1]
+        refused = set(BOUND_FLAGS) - set(bnd.FAMILIES[family][0])
+    elif argv[0] == "moments" and suffix != ".csv":
+        refused = {"kmax", "lmax"}
+    kept, args = [], iter(argv)
+    for arg in args:
+        if arg[2:] in refused and arg.startswith("--"):
+            next(args)  # its value
+        else:
+            kept.append(arg)
+    return kept, content, suffix
+
+
+@settings(fuzz_settings, max_examples=100)
+@given(invocations(malformed=False).map(taken_flags_only))
+def test_taken_flags_only_never_raises(workdir, case):
     check(workdir, case)
 
 

@@ -33,6 +33,23 @@ class TestBinom:
         assert binom(-1, 3) == -1
         assert binom(-2, 2) == 3
 
+    def test_integer_upper_argument_gives_an_int(self):
+        for d, r, value in ((Fraction(4), 2, 6), (-3, 2, 6), (-1, 3, -1),
+                            (Fraction(-2), 2, 3), (7, 3, 35), (3, 5, 0)):
+            assert type(binom(d, r)) is int and binom(d, r) == value
+
+    @given(st.fractions(min_value=-10, max_value=10, max_denominator=12),
+           st.integers(1, 8))
+    def test_return_type_follows_the_upper_argument(self, d, r):
+        # an int exactly when d is an integer, whether given as int or not
+        value = binom(d, r)
+        if d.denominator == 1:
+            assert type(value) is int
+            assert type(binom(d.numerator, r)) is int
+            assert binom(d.numerator, r) == value
+        else:
+            assert type(value) is Fraction
+
     @given(st.integers(0, 30), st.integers(0, 30))
     def test_matches_factorial_ratio(self, d, r):
         assert binom(d, r) == (comb(d, r) if r <= d else 0)

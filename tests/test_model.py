@@ -3,7 +3,9 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import reference as ref
 from bvbounds import (
     DomainError,
     EventSystem,
@@ -110,6 +112,27 @@ class TestBonferroniSums:
         sums = bonferroni_sums(es, es.m, es.n)
         mm = moments_from_pmf(counting_pmf(es))
         assert sums.s == mm.s
+
+    @given(st.data())
+    def test_integer_sums_equal_the_fraction_sums(self, data):
+        # zero weights (dropped by EventSystem), repeated atoms, and every
+        # kmax <= m and lmax <= n
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        atom = st.tuples(st.fractions(0, 3, max_denominator=9),
+                         st.tuples(*[st.integers(0, 1)] * m),
+                         st.tuples(*[st.integers(0, 1)] * n))
+        atoms = data.draw(st.lists(atom, min_size=1, max_size=6))
+        atoms += data.draw(st.lists(st.sampled_from(atoms), max_size=3))
+        total = sum(w for w, _, _ in atoms)
+        if total == 0:
+            atoms[0] = (Fraction(1), *atoms[0][1:])
+            total = 1
+        es = EventSystem(m, n, tuple((w / total, a, b) for w, a, b in atoms))
+        kmax, lmax = data.draw(st.integers(0, m)), data.draw(st.integers(0, n))
+        sums = bonferroni_sums(es, kmax, lmax)
+        expected = ref.bonferroni_sums(es, kmax, lmax)
+        assert sums == MomentMatrix(kmax, lmax, expected)
+        assert sums.s == tuple(map(tuple, expected))
 
     def test_range_check(self):
         es = EventSystem(1, 1, ((Fraction(1), (1,), (1,)),))
