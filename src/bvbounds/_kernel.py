@@ -8,9 +8,9 @@ tail inversion's row `tail_weights`, which the Bonferroni cuts read too.
 The shift runs by the Pascal rule on whole rows: for i in 0..m-1 and j
 from m-1 down to i, row j becomes row j plus (or minus) row j+1.  That is
 m(m+1)/2 row additions along the first axis and, after one transpose,
-n(n+1)/2 along the second, and no multiplication outside the scaling.  It runs on a grid's integer numerators
-(`model.RationalGrid.nums`), and its ints are read over the grid's
-denominator `den`.
+n(n+1)/2 along the second, and no multiplication outside the scaling.  It
+runs on a grid's integer numerators (`model.RationalGrid.nums`), and its
+ints are read over the grid's denominator `den`.
 
 A product read more than once is memoised once per grid, in one form, by
 the `memoised` decorator: `fn(grid, *args)` is held under the key

@@ -163,15 +163,21 @@ def moments_from_pmf(pmf: JointPMF) -> MomentMatrix:
         pmf.nums, _kernel.moments_axis, _kernel.moments_axis), pmf.den)
 
 
-# Most (subset pair, atom) checks `bonferroni_sums` will make, about one
-# second of CPython 3.11 on one core.  The oracle's event systems (m, n <= 4,
+# Most (subset pair, atom) checks `bonferroni_sums` will make, about 0.13 s
+# of CPython 3.11 on one core with every atom in every event.  The oracle's event systems (m, n <= 4,
 # at most 16 atoms) need at most 2**4 * 2**4 * 16 = 4096.
 SUBSET_CHECK_LIMIT = 1_000_000
 
 
+def _bits(indices) -> int:
+    """The bitmask with bit i set for each i in indices."""
+    return sum(1 << i for i in indices)
+
+
 def bonferroni_sums(es: EventSystem, kmax: int, lmax: int) -> MomentMatrix:
     """Bonferroni sums over all (k, l)-fold intersections of the two event
-    families, by direct subset enumeration over atoms, summing their integer
+    families, by direct subset enumeration over atoms (a subset's bitmask
+    tested against each atom's indicator bitmask), summing their integer
     weights over the lcm of their denominators.
 
     Entry (k, 0) and (0, l) are the univariate sums; entry (0, 0) = 1.
@@ -190,13 +196,18 @@ def bonferroni_sums(es: EventSystem, kmax: int, lmax: int) -> MomentMatrix:
             f"{SUBSET_CHECK_LIMIT}; lower kmax/lmax"
         )
     den = lcm(*(w.denominator for w, _, _ in es.atoms))
-    atoms = [(w.numerator * (den // w.denominator), a, b)
-             for w, a, b in es.atoms]
+    atoms = [(w.numerator * (den // w.denominator),
+              _bits(i for i, x in enumerate(a) if x),
+              _bits(j for j, x in enumerate(b) if x)) for w, a, b in es.atoms]
+    a_subs = [[_bits(sub) for sub in combinations(range(es.m), k)]
+              for k in range(kmax + 1)]
+    b_subs = [[_bits(sub) for sub in combinations(range(es.n), l)]
+              for l in range(lmax + 1)]
+
     def total(k: int, l: int) -> int:
-        return sum(x for a_sub in combinations(range(es.m), k)
-                   for b_sub in combinations(range(es.n), l)
+        return sum(x for a_sub in a_subs[k] for b_sub in b_subs[l]
                    for x, a, b in atoms
-                   if all(a[i] for i in a_sub) and all(b[j] for j in b_sub))
+                   if a_sub & a == a_sub and b_sub & b == b_sub)
 
     return MomentMatrix.from_ints(kmax, lmax, [
         [total(k, l) for l in range(lmax + 1)] for k in range(kmax + 1)], den)

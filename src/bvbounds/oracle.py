@@ -15,11 +15,19 @@ Each trial of `validate` builds one context (`_Trial`) that every property
 reads: the pmf and its weights, and, built on first use, the suffix sums,
 the moment grid from `model.moments_from_pmf` and the tail table.  The
 context lives for one trial only, so nothing is cached across instances.
+`tail_table_from_pmf` is the tail table of such a context.
 
-A bound is compared through its `BoundValue.pair`: the recorder's `le` and
-`eq` compare a/b with c/d by cross-multiplication (both denominators are
+Every property is in one table, whose order is the default run order
+(`ALL_PROPERTIES`): `gumbel_identity` first, which checks nothing on a pmf
+trial, then the properties of the pmf.  `validate` runs the selected ids
+in the order given.
+
+Every check compares two integer pairs: the recorder's `le` and `eq`
+compare a/b with c/d by cross-multiplication (both denominators are
 positive), and build the `Fraction`s of a `Failure` only when a check
-fails.
+fails.  A bound gives its `BoundValue.pair`, a transform's `Fraction` its
+numerator and denominator, and the theorem checks read the trial's own
+weights and suffix sums over `total`, not the model's `Fraction` views.
 
 `RISING` states the shape theorem of each swept family once.
 `check_shape` checks it on a grid of pairs for the `*_shape` properties,
@@ -183,8 +191,7 @@ def _suffix_sums(weights: List[List[int]]) -> List[List[int]]:
 def tail_table_from_pmf(pmf: JointPMF) -> TailTable:
     """Full tail grid by two-dimensional suffix sums; independent of the
     moment route."""
-    weights, total = _over_lcm(pmf.p)
-    return TailTable.from_ints(pmf.m, pmf.n, _suffix_sums(weights), total)
+    return _Trial(pmf).tt
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +246,6 @@ class _Recorder:
         self.spec = spec
         self.report = report
         self.checks = 0
-
-    def check(self, prop: str, params: Dict[str, int], lhs, rhs) -> None:
-        self.checks += 1
-        if lhs != rhs:
-            self.report.failures.append(
-                Failure(self.spec, prop, params, Fraction(lhs), Fraction(rhs))
-            )
 
     def le(self, prop: str, params: Dict[str, int], lhs: bnd.Pair,
            rhs: bnd.Pair) -> None:
@@ -320,20 +320,23 @@ def _prop_theorem1_roundtrip(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
     for u in range(pmf.m + 1):
         for v in range(pmf.n + 1):
-            rec.check("theorem1_roundtrip", {"u": u, "v": v},
-                      transforms.pmf_from_moments(mm, u, v), pmf.p[u][v])
+            rec.eq("theorem1_roundtrip", {"u": u, "v": v},
+                   _pair(transforms.pmf_from_moments(mm, u, v)),
+                   (trial.weights[u][v], trial.total))
 
 
 def _prop_theorem2_roundtrip(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm, tt = trial.pmf, trial.mm, trial.tt
     for u in range(pmf.m + 1):
         for v in range(pmf.n + 1):
-            rec.check("theorem2_tails", {"u": u, "v": v},
-                      transforms.tails_from_moments(mm, u, v), tt.q[u][v])
+            rec.eq("theorem2_tails", {"u": u, "v": v},
+                   _pair(transforms.tails_from_moments(mm, u, v)),
+                   trial.tail(u, v))
     for i in range(pmf.m + 1):
         for j in range(pmf.n + 1):
-            rec.check("theorem2_moments", {"i": i, "j": j},
-                      transforms.moments_from_tails(tt, i, j), mm.s[i][j])
+            rec.eq("theorem2_moments", {"i": i, "j": j},
+                   _pair(transforms.moments_from_tails(tt, i, j)),
+                   _pair(mm.s[i][j]))
 
 
 def _prop_pgf_identity(trial: _Trial, rec: _Recorder) -> None:
@@ -341,12 +344,12 @@ def _prop_pgf_identity(trial: _Trial, rec: _Recorder) -> None:
     grid = [Fraction(-1), Fraction(1, 2), Fraction(2)]
     for t in grid:
         for s in grid:
-            rec.check(
+            rec.eq(
                 "pgf_identity",
                 {"t_num": t.numerator, "t_den": t.denominator,
                  "s_num": s.numerator, "s_den": s.denominator},
-                transforms.pgf_eval(pmf, 1 + t, 1 + s),
-                transforms.moment_poly_eval(mm, t, s),
+                _pair(transforms.pgf_eval(pmf, 1 + t, 1 + s)),
+                _pair(transforms.moment_poly_eval(mm, t, s)),
             )
 
 
@@ -355,8 +358,8 @@ def _prop_event_roundtrip(trial: _Trial, rec: _Recorder) -> None:
     back = model.counting_pmf(model.event_system_from_pmf(pmf))
     for u in range(pmf.m + 1):
         for v in range(pmf.n + 1):
-            rec.check("event_roundtrip", {"u": u, "v": v}, back.p[u][v],
-                      pmf.p[u][v])
+            rec.eq("event_roundtrip", {"u": u, "v": v}, _pair(back.p[u][v]),
+                   (trial.weights[u][v], trial.total))
 
 
 def _prop_moment_bounds(trial: _Trial, rec: _Recorder) -> None:
@@ -400,13 +403,14 @@ def _prop_complementary_expansion(trial: _Trial, rec: _Recorder) -> None:
 
 
 def _prop_gumbel_identity(trial: _Trial, rec: _Recorder) -> None:
-    es, mm = trial.es, trial.mm
-    sums = model.bonferroni_sums(es, es.m, es.n)
+    es = trial.es
+    if es is None:  # a pmf trial has no events to enumerate
+        return
+    mm, sums = trial.mm, model.bonferroni_sums(es, es.m, es.n)
     for k in range(es.m + 1):
         for l in range(es.n + 1):
-            rec.check(
-                "gumbel_identity", {"k": k, "l": l}, sums.s[k][l], mm.s[k][l]
-            )
+            rec.eq("gumbel_identity", {"k": k, "l": l}, _pair(sums.s[k][l]),
+                   _pair(mm.s[k][l]))
 
 
 def _prop_sandwich_bonferroni(trial: _Trial, rec: _Recorder) -> None:
@@ -535,7 +539,9 @@ def _prop_anchors(trial: _Trial, rec: _Recorder) -> None:
                bnd.frechet_lower(mm, 2, 2).pair)
 
 
-_PMF_PROPERTIES: Dict[str, Callable[[_Trial, _Recorder], None]] = {
+# Every property, in the default run order.
+_PROPERTIES: Dict[str, Callable[[_Trial, _Recorder], None]] = {
+    "gumbel_identity": _prop_gumbel_identity,
     "theorem1_roundtrip": _prop_theorem1_roundtrip,
     "theorem2_roundtrip": _prop_theorem2_roundtrip,
     "pgf_identity": _prop_pgf_identity,
@@ -553,37 +559,30 @@ _PMF_PROPERTIES: Dict[str, Callable[[_Trial, _Recorder], None]] = {
     "anchors": _prop_anchors,
 }
 
-# Properties that need the event system itself, run before the pmf ones.
-_ES_PROPERTIES: Dict[str, Callable[[_Trial, _Recorder], None]] = {
-    "gumbel_identity": _prop_gumbel_identity,
-}
-
-ALL_PROPERTIES = tuple(_PMF_PROPERTIES) + tuple(_ES_PROPERTIES)
+ALL_PROPERTIES = tuple(_PROPERTIES)
 
 
 def validate(
     specs: Iterable[InstanceSpec],
     properties: Optional[Iterable[str]] = None,
 ) -> ValidationReport:
-    """Run the selected property suites on each instance, recording exact
-    violations as data rather than raising; a repeated id runs once."""
+    """Run the selected properties on each instance, in the order given
+    (by default `ALL_PROPERTIES`), recording exact violations as data rather
+    than raising; a repeated id runs once."""
     selected = tuple(dict.fromkeys(
         ALL_PROPERTIES if properties is None else properties))
     for prop in selected:
-        if prop not in _PMF_PROPERTIES and prop not in _ES_PROPERTIES:
+        if prop not in _PROPERTIES:
             raise DomainError(f"unknown property id {prop!r}")
-    es_run = [(p, _ES_PROPERTIES[p]) for p in selected if p in _ES_PROPERTIES]
-    pmf_run = [(p, _PMF_PROPERTIES[p]) for p in selected
-               if p in _PMF_PROPERTIES]
     report = ValidationReport(checks=dict.fromkeys(selected, 0))
     start = time.perf_counter()
     for spec in specs:
         trial = _Trial(random_instance(spec))
         rec = _Recorder(spec, report)
         report.trials += 1
-        for prop, run in (es_run if trial.es is not None else []) + pmf_run:
+        for prop in selected:
             rec.checks = 0
-            run(trial, rec)
+            _PROPERTIES[prop](trial, rec)
             report.checks[prop] += rec.checks
     report.elapsed = time.perf_counter() - start
     return report

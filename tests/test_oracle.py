@@ -270,6 +270,36 @@ class TestValidate:
         assert twice.to_dict() == once.to_dict()
         assert once.failures
 
+    def test_properties_run_in_the_order_given(self, monkeypatch):
+        # faults in an anchored bound and in a Bonferroni sum: each
+        # property's failures come in the order the properties were given
+        import bvbounds.model as model_mod
+
+        plant_pair_fault(monkeypatch, "bonferroni_pair_upper_minus_1")
+        real = model_mod.bonferroni_sums
+
+        def bumped(es, kmax, lmax):
+            s = [list(row) for row in real(es, kmax, lmax).s]
+            s[1][1] += 1
+            return model_mod.MomentMatrix(kmax, lmax, s)
+
+        monkeypatch.setattr(model_mod, "bonferroni_sums", bumped)
+        es_spec = [InstanceSpec(13, 2, 2, "event_system", atoms=5)]
+
+        def failing(properties=None):
+            return [f.property_id for f in validate(es_spec,
+                                                    properties).failures]
+
+        given = failing(["anchors", "gumbel_identity"])
+        assert given[0].startswith("anchor_")
+        assert given[-1] == "gumbel_identity"
+        default = failing()
+        assert default[0] == "gumbel_identity"
+        assert "anchor_bonferroni_full_upper" in default
+        pmf_specs = [InstanceSpec(11, 3, 2, "dense_pmf"),
+                     InstanceSpec(12, 2, 3, "sparse_pmf")]
+        assert validate(pmf_specs).checks["gumbel_identity"] == 0
+
     def test_all_properties_listed(self):
         assert "theorem1_roundtrip" in ALL_PROPERTIES
         assert "gumbel_identity" in ALL_PROPERTIES
