@@ -29,10 +29,12 @@ target (1, 1), and Gumbel is Chung at (1, 1): both hold the same
 unreduced pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
 
 `FAMILIES` states each family of `bound` once: its parameters, which are
-the CLI's flags, and the call that evaluates it.  `tables(mm, u, v)` states
-each family's label(s), direction, first depth and cells at a target: the
-Frechet/Gumbel alias too, and c1, c6 and c3 at (a, b) = (m-1, n-1) as
-one-cell tables at (1, 1), or the note that skips them when m or n < 2.
+the CLI's flags, and the call that evaluates it.  `tables(mm, u, v)` holds
+the two-depth tables at a target, each with its label(s), direction, first
+depth (k, l) and cells: the type pair's, with the Frechet/Gumbel alias at
+(1, 1), and Chung's.  `compare_rows(mm, u, v)` builds every row of
+`compare` from them, the Bonferroni sweep, and c1, c6 and c3 at (a, b) =
+(m-1, n-1) at (1, 1), or the note that skips those when m or n < 2.
 
 Values are reported raw (they may fall outside [0, 1]); a vanishing
 denominator yields an undefined BoundValue rather than an error.
@@ -55,6 +57,7 @@ UPPER = "upper"
 
 Pair = Tuple[int, int]  # (numerator, denominator), 0 when undefined
 PairGrid = List[List[Pair]]  # [i][j]: depth (first k + i, first l + j)
+Row = Tuple[str, str, int, int]  # (label, direction, numerator, denominator)
 
 
 @dataclass(frozen=True)
@@ -174,43 +177,49 @@ def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
 
 class Table(NamedTuple):
     """A family's bounds on one target at every legal depth, as pairs:
-    cells()[i][j] is the one at depth (k, l) = (first[0] + i, first[1] + j),
-    cells()[i] the one at k = first[0] + i when `first` has one entry
-    (Bonferroni), and cells() the only one when `first` is empty."""
+    cells()[i][j] is the one at depth (k, l) = (first[0] + i, first[1] + j)."""
 
     labels: Tuple[str, ...]
     direction: str
-    first: Tuple[int, ...]
-    cells: Callable[[], list]
+    first: Tuple[int, int]
+    cells: Callable[[], PairGrid]
 
 
-def tables(mm: MomentMatrix, u: int, v: int) -> Tuple[List[Table], list]:
-    """(every family's table on P(S>=u, T>=v), (label, note) of each family
-    skipped there).  No bound is computed or target checked until cells()
-    runs, so a caller can check first."""
+def tables(mm: MomentMatrix, u: int, v: int) -> List[Table]:
+    """The type pair's and Chung's tables on P(S>=u, T>=v).  No bound is
+    computed or target checked until cells() runs: a caller checks first."""
     at_11 = (u, v) == (1, 1)
-    swept = [
+    return [
         Table(("type-lower",) + ("frechet",) * at_11, LOWER, (1, 1),
               lambda: type_sweep(mm, u, v)[0]),
         Table(("type-upper",) + ("gumbel",) * at_11, UPPER, (1, 1),
               lambda: type_sweep(mm, u, v)[1]),
         Table(("chung",), UPPER, (u, v), lambda: chung_sweep(mm, u, v)),
-        Table(("bonferroni-lower",), LOWER, (0,),
-              lambda: bonferroni_sweep(mm, u, v)[0]),
-        Table(("bonferroni-upper",), UPPER, (0,),
-              lambda: bonferroni_sweep(mm, u, v)[1]),
     ]
-    if not at_11:
-        return swept, []
+
+
+def compare_rows(mm: MomentMatrix, u: int, v: int) -> Tuple[List[Row], list]:
+    """((label, direction, num, den) of each defined bound on P(S>=u, T>=v),
+    its pair as computed (den > 0, not necessarily reduced), (label, note)
+    of each family skipped there)."""
+    rows = [(f"{lbl} k={k} l={l}", t.direction, num, den)
+            for t in tables(mm, u, v)
+            for k, row in enumerate(t.cells(), t.first[0])
+            for l, (num, den) in enumerate(row, t.first[1]) if den
+            for lbl in t.labels]
+    for side, sweep in zip((LOWER, UPPER), bonferroni_sweep(mm, u, v)):
+        rows += [(f"bonferroni-{side} k={k}", side, num, den)
+                 for k, (num, den) in enumerate(sweep) if den]
+    if (u, v) != (1, 1):
+        return rows, []
     if mm.m < 2 or mm.n < 2:
-        return swept, [("c1/c3/c6", "require m >= 2 and n >= 2")]
+        return rows, [("c1/c3/c6", "require m >= 2 and n >= 2")]
     a, b = mm.m - 1, mm.n - 1
-    return swept + [
-        Table(("c1",), UPPER, (), lambda: comparison_bound(mm, "c1").pair),
-        Table(("c6",), UPPER, (), lambda: comparison_bound(mm, "c6").pair),
-        Table((f"c3 a={a} b={b}",), LOWER, (),
-              lambda: comparison_bound(mm, "c3", a, b).pair),
-    ], []
+    closed = (("c1", comparison_bound(mm, "c1")),
+              ("c6", comparison_bound(mm, "c6")),
+              (f"c3 a={a} b={b}", comparison_bound(mm, "c3", a, b)))
+    return rows + [(label, bound.direction, *bound.pair)
+                   for label, bound in closed if bound.defined], []
 
 
 def bonferroni_pair(

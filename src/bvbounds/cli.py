@@ -308,13 +308,20 @@ def cmd_bound(args, out) -> int:
     return EXIT_OK
 
 
+def _check_target(grid, u: int, v: int) -> None:
+    """Raise unless (u, v) is a target of P(S>=u, T>=v) on the grid's m, n."""
+    if not (1 <= u <= grid.m and 1 <= v <= grid.n):
+        raise InputError("need 1 <= u <= m and 1 <= v <= n")
+
+
 def cmd_sweep(args, out) -> int:
     mm = to_moments(load_instance(args.infile))
     fam = args.family
-    table = next((t for t in bnd.tables(mm, args.u, args.v)[0]
+    table = next((t for t in bnd.tables(mm, args.u, args.v)
                   if fam in t.labels), None)
     if table is None:
         raise InputError(f"--family {fam} targets u=1, v=1 only")
+    _check_target(mm, args.u, args.v)
     grid = table.cells()
     print(f"{fam} sweep over (k, l):", file=out)
     for row in grid:
@@ -332,31 +339,6 @@ def cmd_sweep(args, out) -> int:
         return EXIT_VIOLATION
     print("no monotonicity/convexity violations", file=out)
     return EXIT_OK
-
-
-def _compare_rows(mm: MomentMatrix, u: int, v: int):
-    """(label, direction, num, den) of each defined bound on P(S>=u, T>=v),
-    its pair as its table holds it (den > 0, not necessarily reduced), and
-    (label, note) of the families skipped at the target."""
-    rows: List[Tuple[str, str, int, int]] = []
-    tables, skips = bnd.tables(mm, u, v)
-    for table in tables:
-        labels, direction, cells = table.labels, table.direction, table.cells()
-        if not table.first:
-            depths = (("", cells),)
-        elif len(table.first) == 1:
-            depths = ((f" k={k}", cell)
-                      for k, cell in enumerate(cells, table.first[0]))
-        else:
-            k0, l0 = table.first
-            depths = ((f" k={k} l={l}", cell)
-                      for k, row in enumerate(cells, k0)
-                      for l, cell in enumerate(row, l0))
-        for depth, (num, den) in depths:
-            if den:
-                rows.extend([(lbl + depth, direction, num, den)
-                             for lbl in labels])
-    return rows, skips
 
 
 def _ordered(rows):
@@ -390,11 +372,10 @@ def cmd_compare(args, out) -> int:
         )
     pmf = model.counting_pmf(obj) if isinstance(obj, EventSystem) else obj
     u, v = args.u, args.v
-    if not (1 <= u <= pmf.m and 1 <= v <= pmf.n):
-        raise InputError("need 1 <= u <= m and 1 <= v <= n")
+    _check_target(pmf, u, v)
     mm = model.moments_from_pmf(pmf)
     tail = sum(x for row in pmf.nums[u:] for x in row[v:])  # over pmf.den
-    rows, skips = _compare_rows(mm, u, v)
+    rows, skips = bnd.compare_rows(mm, u, v)
     lines = [f"target P(S>={u}, T>={v})",
              f"exact  {fmt_ratio(tail, pmf.den)}"]
     for (num, den), direction, lbl, starred in _ordered(rows):

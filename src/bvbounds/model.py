@@ -164,8 +164,9 @@ def moments_from_pmf(pmf: JointPMF) -> MomentMatrix:
 
 
 # Most (subset pair, atom) checks `bonferroni_sums` will make, about 0.13 s
-# of CPython 3.11 on one core with every atom in every event.  The oracle's event systems (m, n <= 4,
-# at most 16 atoms) need at most 2**4 * 2**4 * 16 = 4096.
+# of CPython 3.11 on one core with every atom in every event.  The oracle's
+# event systems (m, n <= 4, at most 16 atoms) need at most
+# 2**4 * 2**4 * 16 = 4096.
 SUBSET_CHECK_LIMIT = 1_000_000
 
 

@@ -31,9 +31,9 @@ weights and suffix sums over `total`, not the model's `Fraction` views.
 
 `RISING` states the shape theorem of each swept family once.
 `check_shape` checks it on a grid of pairs for the `*_shape` properties,
-which read the bounds one cell at a time (never `bounds.tables` or a
-sweep), and `shape_failures` gives the CLI's `sweep` the checks a table
-fails.
+which read the bounds one cell at a time (never `bounds.tables`,
+`bounds.compare_rows` or a sweep), and `shape_failures` gives the CLI's
+`sweep` the checks a table fails.
 """
 
 from __future__ import annotations

@@ -152,20 +152,17 @@ class TestSweep:
         )
         assert status == 0
 
-    @pytest.mark.parametrize("u, v, message", [
-        ("3", "1", "need 1 <= s <= k <= m"),
-        ("1", "3", "need 1 <= t <= l <= n"),
-        ("0", "3", "need 1 <= s <= k <= m"),
-        ("2", "0", "need 1 <= t <= l <= n"),
-    ])
-    def test_chung_target_outside_the_grid(self, e2_file, capsys, u, v,
-                                           message):
+    @pytest.mark.parametrize("u, v", [("3", "1"), ("1", "3"), ("0", "3"),
+                                      ("2", "0")])
+    def test_chung_target_outside_the_grid(self, e2_file, capsys, u, v):
+        # the text compare prints, not the flags of `bound --family chung`
         status, out, err = run(
             ["sweep", "--in", e2_file, "--family", "chung",
              "--u", u, "--v", v],
             capsys,
         )
-        assert (status, out, err) == (1, "", f"error: {message}\n")
+        assert (status, out, err) == (
+            1, "", "error: need 1 <= u <= m and 1 <= v <= n\n")
 
     @pytest.mark.parametrize("family", ["frechet", "gumbel"])
     @pytest.mark.parametrize("u, v", [("0", "1"), ("2", "1"), ("1", "3")])

@@ -19,7 +19,10 @@ import bvbounds
 import bvbounds.bounds as bounds_mod
 from bvbounds import (BoundValue, DomainError, InstanceSpec, JointPMF,
                       MomentMatrix, moments_from_pmf, oracle, validate)
-from bvbounds.bounds import bonferroni_sweep, chung_sweep, type_sweep
+from bvbounds.bounds import (bonferroni_pair, bonferroni_sweep, chung_bound,
+                              chung_sweep, compare_rows, comparison_bound,
+                              frechet_gumbel_type, frechet_lower,
+                              gumbel_upper, type_sweep)
 from bvbounds.cli import build_parser, main
 from test_kernel import GOLDEN, SRC, moment_matrices
 
@@ -123,7 +126,8 @@ def test_target_out_of_range(sweep, target, message):
 def test_oracle_does_not_read_the_sweeps():
     # The oracle checks the bound functions; it must not share their sweeps.
     sweeps = {"bonferroni_sweep", "chung_sweep", "type_sweep",
-              "complementary_part", "chung_product", "tables"}
+              "complementary_part", "chung_product", "tables",
+              "compare_rows"}
     tree = ast.parse((Path(bvbounds.__file__).parent / "oracle.py")
                      .read_text())
     names = set()
@@ -149,8 +153,9 @@ def test_oracle_does_not_read_grid_numerators():
 
 
 def test_cli_does_not_name_the_sweeps():
-    # compare and sweep read the sweeps through bounds.tables only, and
-    # bound its families through bounds.FAMILIES: cli.py names no family
+    # compare reads its rows from bounds.compare_rows, sweep its table from
+    # bounds.tables, and bound its families from bounds.FAMILIES: cli.py
+    # names no family
     names, strings = set(), set()
     for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
         if isinstance(node, ast.alias):  # an imported name
@@ -161,13 +166,13 @@ def test_cli_does_not_name_the_sweeps():
             names.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             strings.add(node.value)
-    assert {"tables", "FAMILIES"} <= names  # the walk sees the reads
+    assert {"compare_rows", "tables", "FAMILIES"} <= names  # the reads
     assert "compare" in strings  # and the string constants
     assert not names & {"type_sweep", "chung_sweep", "bonferroni_sweep",
                         "comparison_bound"}
-    tables, _ = bounds_mod.tables(MM2, 1, 1)
-    labels = {lbl for table in tables for lbl in table.labels}
-    assert "c3 a=1 b=1" in labels
+    rows, _ = bounds_mod.compare_rows(MM2, 1, 1)
+    labels = {lbl.split(" k=")[0] for lbl, *_ in rows}
+    assert {"c3 a=1 b=1", "frechet", "bonferroni-upper"} <= labels
     assert not strings & (set(bounds_mod.FAMILIES) | labels | {"c1/c3/c6"})
 
 
@@ -192,27 +197,74 @@ def test_bound_flags_are_the_family_parameters():
 
 
 def test_rising_families_are_two_depth_tables():
-    tables, _ = bounds_mod.tables(MM2, 1, 1)
+    tables = bounds_mod.tables(MM2, 1, 1)
     for family in oracle.RISING:
         assert family in bounds_mod.FAMILIES
         assert [len(t.first) for t in tables if family in t.labels] == [2]
 
 
 def test_comparison_tables_hold_the_comparison_bounds():
-    # one cell each at (1, 1), in the direction the bound states
-    tables, skips = bounds_mod.tables(MM2, 1, 1)
-    cells = {t.labels: (t.direction, t.cells()) for t in tables
-             if not t.first}
+    # one row each at (1, 1), in the direction the bound states
+    rows, skips = bounds_mod.compare_rows(MM2, 1, 1)
+    cells = {lbl: (direction, (num, den))
+             for lbl, direction, num, den in rows if " k=" not in lbl}
     assert skips == []
     assert cells == {
-        (label,): (b.direction, b.pair) for label, b in (
+        label: (b.direction, b.pair) for label, b in (
             ("c1", bounds_mod.comparison_bound(MM2, "c1")),
             ("c6", bounds_mod.comparison_bound(MM2, "c6")),
             ("c3 a=1 b=1", bounds_mod.comparison_bound(MM2, "c3", 1, 1)))}
-    assert all(t.first for t in bounds_mod.tables(MM2, 1, 2)[0])
+    # away from (1, 1), every row has a depth
+    assert all(" k=" in lbl for lbl, *_ in bounds_mod.compare_rows(MM2, 1, 2)[0])
     small = MomentMatrix(1, 2, [[1, 0, 0], [0, 0, 0]])
-    assert bounds_mod.tables(small, 1, 1)[1] == [
+    assert bounds_mod.compare_rows(small, 1, 1)[1] == [
         ("c1/c3/c6", "require m >= 2 and n >= 2")]
+
+
+@sweep_settings
+@given(moment_matrices(lo=1))
+def test_compare_rows_are_the_defined_bounds(mm):
+    # every row of compare, and only those, at every target: each defined
+    # bound of the per-bound functions, with its label and direction
+    def row(label, bound):
+        return [(label, bound.direction, bound.value)] if bound.defined else []
+
+    m, n = mm.m, mm.n
+    for u in range(1, m + 1):
+        for v in range(1, n + 1):
+            expected = []
+            for k in range(1, m + 1):
+                for l in range(1, n + 1):
+                    depth = f" k={k} l={l}"
+                    lower, upper = frechet_gumbel_type(mm, u, v, k, l)
+                    expected += row("type-lower" + depth, lower)
+                    expected += row("type-upper" + depth, upper)
+                    if (u, v) == (1, 1):
+                        expected += row("frechet" + depth,
+                                        frechet_lower(mm, k, l))
+                        expected += row("gumbel" + depth,
+                                        gumbel_upper(mm, k, l))
+                    if k >= u and l >= v:
+                        expected += row("chung" + depth,
+                                        chung_bound(mm, u, v, k, l))
+            for k in range((m + n - u - v) // 2 + 2):
+                lower, upper = bonferroni_pair(mm, u, v, k)
+                expected += row(f"bonferroni-lower k={k}", lower)
+                expected += row(f"bonferroni-upper k={k}", upper)
+            skips = []
+            if (u, v) == (1, 1) and min(m, n) < 2:
+                skips = [("c1/c3/c6", "require m >= 2 and n >= 2")]
+            elif (u, v) == (1, 1):
+                expected += row("c1", comparison_bound(mm, "c1"))
+                expected += row("c6", comparison_bound(mm, "c6"))
+                expected += row(f"c3 a={m - 1} b={n - 1}",
+                                comparison_bound(mm, "c3", m - 1, n - 1))
+            rows, got_skips = compare_rows(mm, u, v)
+            assert all(den > 0 for *_, den in rows)
+            assert sorted((lbl, direction, Fraction(num, den))
+                          for lbl, direction, num, den in rows) == \
+                sorted(expected)
+            assert got_skips == skips
 
 
 def test_families_look_their_functions_up_when_called(monkeypatch):
