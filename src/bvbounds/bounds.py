@@ -31,10 +31,13 @@ unreduced pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
 `FAMILIES` states each family of `bound` once: its parameters, which are
 the CLI's flags, and the call that evaluates it.  `tables(mm, u, v)` holds
 the two-depth tables at a target, each with its label(s), direction, first
-depth (k, l) and cells: the type pair's, with the Frechet/Gumbel alias at
-(1, 1), and Chung's.  `compare_rows(mm, u, v)` builds every row of
-`compare` from them, the Bonferroni sweep, and c1, c6 and c3 at (a, b) =
-(m-1, n-1) at (1, 1), or the note that skips those when m or n < 2.
+depth (k, l) and cells: the type pair's and Chung's.  At (1, 1) it holds
+two: the type lower table, labelled type-lower and frechet, and the type
+upper table, labelled type-upper, gumbel and chung, since it holds the
+Chung pairs there.  `compare_rows(mm, u, v)` builds every row of `compare`
+from them, the rows of one cell's labels next to each other, then from the
+Bonferroni sweep, and c1, c6 and c3 at (a, b) = (m-1, n-1) at (1, 1), or
+the note that skips those when m or n < 2.
 
 Values are reported raw (they may fall outside [0, 1]); a vanishing
 denominator yields an undefined BoundValue rather than an error.
@@ -165,10 +168,8 @@ def type_sweep(mm: MomentMatrix, s: int,
 def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
     """Alternating ratio bound on P(S>=s, T>=t), [k-s][l-t] for s <= k <= m,
     t <= l <= n: alpha . s . beta^T over C(m-s,k-s) C(n-t,l-t)."""
-    if not (1 <= s <= mm.m):
-        raise DomainError("need 1 <= s <= k <= m")
-    if not (1 <= t <= mm.n):
-        raise DomainError("need 1 <= t <= l <= n")
+    _check_range("s", s, 1, mm.m)
+    _check_range("t", t, 1, mm.n)
     m, n = mm.m, mm.n
     nums, den = _kernel.chung_product(mm, s, t)
     return _grid(nums, [comb(m - s, k - s) * den for k in range(s, m + 1)],
@@ -186,22 +187,29 @@ class Table(NamedTuple):
 
 
 def tables(mm: MomentMatrix, u: int, v: int) -> List[Table]:
-    """The type pair's and Chung's tables on P(S>=u, T>=v).  No bound is
-    computed or target checked until cells() runs: a caller checks first."""
+    """The type pair's and Chung's tables on P(S>=u, T>=v).  At (1, 1) the
+    type lower table is also Frechet's, and the type upper table is also
+    Gumbel's and Chung's, whose pairs it holds, so Chung has no table of
+    its own there.  No bound is computed or target checked until cells()
+    runs: a caller checks first."""
     at_11 = (u, v) == (1, 1)
-    return [
+    found = [
         Table(("type-lower",) + ("frechet",) * at_11, LOWER, (1, 1),
               lambda: type_sweep(mm, u, v)[0]),
-        Table(("type-upper",) + ("gumbel",) * at_11, UPPER, (1, 1),
+        Table(("type-upper",) + ("gumbel", "chung") * at_11, UPPER, (1, 1),
               lambda: type_sweep(mm, u, v)[1]),
-        Table(("chung",), UPPER, (u, v), lambda: chung_sweep(mm, u, v)),
     ]
+    if not at_11:
+        found.append(Table(("chung",), UPPER, (u, v),
+                           lambda: chung_sweep(mm, u, v)))
+    return found
 
 
 def compare_rows(mm: MomentMatrix, u: int, v: int) -> Tuple[List[Row], list]:
     """((label, direction, num, den) of each defined bound on P(S>=u, T>=v),
     its pair as computed (den > 0, not necessarily reduced), (label, note)
-    of each family skipped there)."""
+    of each family skipped there).  The rows of a cell's labels are
+    adjacent and hold one pair."""
     rows = [(f"{lbl} k={k} l={l}", t.direction, num, den)
             for t in tables(mm, u, v)
             for k, row in enumerate(t.cells(), t.first[0])

@@ -24,6 +24,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -341,26 +342,33 @@ def cmd_sweep(args, out) -> int:
     return EXIT_OK
 
 
-def _ordered(rows):
-    """((numerator, denominator), direction, label, starred) for each
-    (label, direction, numerator, denominator > 0) row, in the order of
-    (exact value, direction, label).  The starred rows hold the best
-    bounds: the greatest lower and the least upper value.
+def _compare_lines(rows) -> List[str]:
+    """The line of `compare` for each (label, direction, numerator,
+    denominator > 0) row, in the order of (exact value, direction, label).
+    The best bounds, the greatest lower and the least upper value, are
+    starred.  The text and the key of a pair are made once for each run of
+    rows that hold it in turn, as the labels of one cell do.
 
     Each row is keyed by floor(value * 2**shift), shift = 2 * the bit
     length of the largest denominator D.  Two distinct values a/b and c/d
     differ by at least 1/(b d) >= 1/D**2 > 2**-shift, so their keys
     differ, and equal values share one: the keys order the values exactly."""
-    shift = 2 * max((den for *_, den in rows), default=1).bit_length()
-    keyed = sorted(((num << shift) // den, direction, lbl, num, den)
-                   for lbl, direction, num, den in rows)
+    shift = 2 * max(map(itemgetter(3), rows), default=1).bit_length()
+    keyed, last_num, last_den = [], None, None
+    for lbl, direction, num, den in rows:
+        if num != last_num or den != last_den:
+            last_num, last_den = num, den
+            key, text = (num << shift) // den, f"{fmt_ratio(num, den):24s}"
+        keyed.append((key, direction, lbl, text))
+    keyed.sort()
     best = {
         "lower": next((k[0] for k in reversed(keyed) if k[1] == "lower"),
                       None),
         "upper": next((k[0] for k in keyed if k[1] == "upper"), None),
     }
-    return [((num, den), direction, lbl, key == best[direction])
-            for key, direction, lbl, num, den in keyed]
+    return [f"{direction:5s}  {text}  {lbl}"
+            + (f"  *best {direction}*" if key == best[direction] else "")
+            for key, direction, lbl, text in keyed]
 
 
 def cmd_compare(args, out) -> int:
@@ -378,11 +386,7 @@ def cmd_compare(args, out) -> int:
     rows, skips = bnd.compare_rows(mm, u, v)
     lines = [f"target P(S>={u}, T>={v})",
              f"exact  {fmt_ratio(tail, pmf.den)}"]
-    for (num, den), direction, lbl, starred in _ordered(rows):
-        star = f"  *best {direction}*" if starred else ""
-        lines.append(
-            f"{direction:5s}  {fmt_ratio(num, den):24s}  {lbl}{star}"
-        )
+    lines += _compare_lines(rows)
     lines.extend(f"skip   {lbl}: {note}" for lbl, note in skips)
     out.write("\n".join(lines) + "\n")
     return EXIT_OK

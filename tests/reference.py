@@ -6,11 +6,14 @@ maps went through the separable integer kernel; each returns the value
 package function it mirrors.  `bonferroni_sums` is the Fraction sum over
 subset pairs that the package made before it summed integer weights.  The
 coefficient matrices are the kernel's maps as the package applied them
-before it ran them as Taylor shifts, with a literal matrix product."""
+before it ran them as Taylor shifts, with a literal matrix product.
+`compare_lines` builds the row lines of `compare` as the package did
+before it formatted each run of equal pairs once: it sorts every row on
+its key and formats every row on its own."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from bvbounds import DomainError, binom
 
@@ -293,3 +296,48 @@ def matrix_product(left, nums, right):
             for row in nums]
     return [[sum(l[i] * half[i][c] for i in range(len(half)))
              for c in range(len(right))] for l in left]
+
+
+def cell_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, built from the ints."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def fmt_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) as str and float of the Fraction print it."""
+    return f"{cell_text(num, den)} (≈{num / den:.4f})"
+
+
+def _ordered(rows):
+    """((numerator, denominator), direction, label, starred) for each
+    (label, direction, numerator, denominator > 0) row, in the order of
+    (exact value, direction, label).  The starred rows hold the best
+    bounds: the greatest lower and the least upper value.
+
+    Each row is keyed by floor(value * 2**shift), shift = 2 * the bit
+    length of the largest denominator D.  Two distinct values a/b and c/d
+    differ by at least 1/(b d) >= 1/D**2 > 2**-shift, so their keys
+    differ, and equal values share one: the keys order the values exactly."""
+    shift = 2 * max((den for *_, den in rows), default=1).bit_length()
+    keyed = sorted(((num << shift) // den, direction, lbl, num, den)
+                   for lbl, direction, num, den in rows)
+    best = {
+        "lower": next((k[0] for k in reversed(keyed) if k[1] == "lower"),
+                      None),
+        "upper": next((k[0] for k in keyed if k[1] == "upper"), None),
+    }
+    return [((num, den), direction, lbl, key == best[direction])
+            for key, direction, lbl, num, den in keyed]
+
+
+def compare_lines(rows):
+    """The row lines of `compare` for (label, direction, numerator,
+    denominator > 0) rows."""
+    lines = []
+    for (num, den), direction, lbl, starred in _ordered(rows):
+        star = f"  *best {direction}*" if starred else ""
+        lines.append(
+            f"{direction:5s}  {fmt_ratio(num, den):24s}  {lbl}{star}"
+        )
+    return lines

@@ -197,11 +197,11 @@ class TestCompare:
                 ("a", "lower", big, big + 1),
                 ("b", "upper", 2 * (big - 1), 2 * big),
                 ("c", "upper", 2, 2)]
-        assert cli._ordered(rows) == [
-            ((2 * (big - 1), 2 * big), "upper", "b", True),
-            ((big, big + 1), "lower", "a", True),
-            ((2 * big, 2 * big + 2), "lower", "d", True),
-            ((2, 2), "upper", "c", False)]
+        assert cli._compare_lines(rows) == [
+            f"upper  {big - 1}/{big} (≈1.0000)  b  *best upper*",
+            f"lower  {big}/{big + 1} (≈1.0000)  a  *best lower*",
+            f"lower  {big}/{big + 1} (≈1.0000)  d  *best lower*",
+            "upper  1 (≈1.0000)               c"]
 
     def test_byte_stable(self, e2_file, capsys):
         _, first, _ = run(

@@ -1,12 +1,18 @@
-"""The order and best-bound stars of `compare` rows."""
+"""The order, text and best-bound stars of `compare` rows."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from bvbounds.bounds import BoundValue
-from bvbounds.cli import _ordered as _ordered_pairs
+import reference as ref
+from bvbounds.bounds import BoundValue, compare_rows as bound_rows
+from bvbounds.cli import _compare_lines
+from test_kernel import moment_matrices
+
+# direction, reduced value, its float, label and the best-bound star
+LINE = re.compile(r"(lower|upper)  (\S+) \(≈(\S+)\) *  (.*?)(  \*best \1\*)?")
 
 TINY = Fraction(1, 2**80)
 
@@ -37,12 +43,19 @@ def compare_rows(draw):
 
 
 def _ordered(rows):
-    """`cli._ordered` on (label, bound) rows, its (numerator, denominator)
-    pairs read back as Fractions."""
-    pairs = _ordered_pairs([(lbl, b.direction, b.value.numerator,
-                             b.value.denominator) for lbl, b in rows])
-    return [(Fraction(*pair), direction, lbl, starred)
-            for pair, direction, lbl, starred in pairs]
+    """`cli._compare_lines` on (label, bound) rows, each line read back as
+    (value, direction, label, starred)."""
+    pairs = [(lbl, b.direction, b.value.numerator, b.value.denominator)
+             for lbl, b in rows]
+    lines = _compare_lines(pairs)
+    assert lines == ref.compare_lines(pairs)
+    ordered = []
+    for line in lines:
+        direction, text, approx, lbl, star = LINE.fullmatch(line).groups()
+        value = Fraction(text)
+        assert text == str(value) and approx == f"{float(value):.4f}"
+        ordered.append((value, direction, lbl, star is not None))
+    return ordered
 
 
 def check_ordered(rows):
@@ -86,3 +99,13 @@ def test_values_closer_than_the_prefix_stay_apart():
     assert [(lbl, starred) for _, _, lbl, starred in _ordered(rows)] == [
         ("c", True), ("a", False), ("b", True)]
 
+
+@settings(max_examples=60, deadline=None)
+@given(moment_matrices(lo=1))
+def test_lines_match_the_reference_at_every_target(mm):
+    # byte for byte the lines of a sort and a format of every row, whose
+    # pairs are unreduced and, for the labels of one cell, repeated
+    for u in range(1, mm.m + 1):
+        for v in range(1, mm.n + 1):
+            rows, _ = bound_rows(mm, u, v)
+            assert _compare_lines(rows) == ref.compare_lines(rows)

@@ -5,6 +5,7 @@ independence from the kernel."""
 
 import ast
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,28 @@ def test_compare_makes_each_product_once(u, v, products, monkeypatch,
     assert capsys.readouterr().out == (
         GOLDEN / f"compare_u{u}_v{v}.txt").read_text()
     assert len(calls) == products
+
+
+def test_compare_at_one_one_reduces_each_run_once(monkeypatch, capsys):
+    # the Chung bounds at (1, 1) are labels of the type upper table, which
+    # holds their pairs: no Chung sweep runs, and the exact tail and then
+    # each run of equal pairs in the rows, such as the labels of one cell,
+    # is reduced once
+    sweeps, reductions = [], []
+    chung_sweep, gcd = bvbounds.bounds.chung_sweep, bvbounds.cli.gcd
+    monkeypatch.setattr(bvbounds.bounds, "chung_sweep",
+                        lambda *args: sweeps.append(args) or chung_sweep(*args))
+    monkeypatch.setattr(bvbounds.cli, "gcd",
+                        lambda *args: reductions.append(args) or gcd(*args))
+    pmf6 = str(GOLDEN / "pmf6.json")
+    assert main(["compare", "--in", pmf6, "--u", "1", "--v", "1"]) == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / "compare_u1_v1.txt").read_text()
+    rows, _ = bvbounds.bounds.compare_rows(
+        moments_from_pmf(bvbounds.cli.load_instance(pmf6)), 1, 1)
+    runs = [pair for pair, _ in groupby((num, den) for *_, num, den in rows)]
+    assert sweeps == []
+    assert reductions[1:] == runs and len(runs) < len(rows)
 
 
 # One `golden args...` line per case, args relative to tests/golden; CI
