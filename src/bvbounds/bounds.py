@@ -20,13 +20,14 @@ the target, or at (1, 1) for the type pair) or the Bonferroni
 anti-diagonal prefix; a denominator of 0 marks an undefined bound.  Each
 sweep function is wrapped by `_kernel.memoised`, so it checks the target
 and computes once per grid and target, and a repeat call returns the held
-sweep after one memo probe.  The per-bound functions test their depth in
-one chained comparison, reaching the per-parameter `_check_range` messages
-only when it fails, read one cell (c1, c3 and c6 compute one pair) and
-return a `BoundValue` that holds it and builds its `Fraction` only when
-`value` is read.  The Frechet and Gumbel families are the type pair at
-target (1, 1), and Gumbel is Chung at (1, 1): both hold the same
-unreduced pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
+sweep after one memo probe.  Each sweep's target and the Frechet, Gumbel
+and type depth (k, l) are checked by one call to `transforms._check_cell`,
+which the inversions share.  A per-bound function reads one cell (c1, c3
+and c6 compute one pair) and returns a `BoundValue` built one way for a
+defined and an undefined bound: it holds the pair and builds its
+`Fraction` only when `value` is read.  The Frechet and Gumbel families are
+the type pair at target (1, 1), and Gumbel is Chung at (1, 1): both hold
+the same unreduced pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
 
 `FAMILIES` states each family of `bound` once: its parameters, which are
 the CLI's flags, and the call that evaluates it.  `tables(mm, u, v)` holds
@@ -53,7 +54,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from . import _kernel
 from .combinatorics import DomainError
 from .model import MomentMatrix
-from .transforms import _check_range
+from .transforms import _check_cell
 
 LOWER = "lower"
 UPPER = "upper"
@@ -69,15 +70,15 @@ class BoundValue:
     and the parameters it was evaluated at.
 
     `pair` is the value as (numerator, denominator > 0), not necessarily
-    reduced, or (0, 0) when undefined.  A bound this module computes holds
-    only the pair and builds `value` when it is first read; one constructed
-    with a value (`dataclasses.replace`) takes its pair from it."""
+    reduced, or (0, 0) when undefined, and `note` says why a bound is
+    undefined.  A bound this module computes holds only the pair and builds
+    `value` when it is first read; one constructed with a value
+    (`dataclasses.replace`) takes its pair from it."""
 
     value: Optional[Fraction]
     direction: str
     family: str
     params: Dict[str, int] = field(default_factory=dict)
-    note: Optional[str] = None
     pair: Pair = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -88,25 +89,26 @@ class BoundValue:
     def __getattr__(self, name: str):  # reached only while value is unbuilt
         if name != "value" or "pair" not in vars(self):
             raise AttributeError(name)
-        value = self.__dict__["value"] = Fraction(*self.pair)
+        num, den = self.pair
+        value = self.__dict__["value"] = Fraction(num, den) if den else None
         return value
 
     @property
     def defined(self) -> bool:
         return self.pair[1] != 0
 
+    @property
+    def note(self) -> Optional[str]:
+        return (None if self.defined else
+                "bound undefined for these parameters (zero denominator)")
+
 
 def _ratio(cell: Pair, direction: str, family: str,
            params: Dict[str, int]) -> BoundValue:
     """The bound in a sweep cell, undefined when its denominator is 0."""
-    if cell[1] == 0:
-        return BoundValue(
-            None, direction, family, params,
-            note="bound undefined for these parameters (zero denominator)",
-        )
     bound = object.__new__(BoundValue)
-    bound.__dict__.update(pair=cell, direction=direction, family=family,
-                          params=params, note=None)
+    bound.__dict__.update(pair=cell if cell[1] else (0, 0),
+                          direction=direction, family=family, params=params)
     return bound
 
 
@@ -124,8 +126,7 @@ def bonferroni_sweep(
     the anti-diagonal partial sum of the tail inversion cut at total order
     u+v+2k+1 (lower) and u+v+2k (upper), for 0 <= k <= K = (m+n-u-v)//2 + 1.
     Both equal the exact tail at K, as does every deeper cut."""
-    _check_range("u", u, 1, mm.m)
-    _check_range("v", v, 1, mm.n)
+    _check_cell(mm, "uv", u, v, 1)
     den = mm.den
     prefix = _kernel.antidiagonal_prefix(
         mm.nums, _kernel.tail_weights(mm.m, u), _kernel.tail_weights(mm.n, v))
@@ -146,8 +147,7 @@ def type_sweep(mm: MomentMatrix, s: int,
 
     Over the grid's common denominator, Sbar_{k,l} = C(m,k)C(n,l) -
     part[k-1][l-1], so the Chung numerator at (1, 1) is the upper one."""
-    _check_range("s", s, 1, mm.m)
-    _check_range("t", t, 1, mm.n)
+    _check_cell(mm, "st", s, t, 1)
     m, n = mm.m, mm.n
     ks, ls = range(1, m + 1), range(1, n + 1)
     part, den = _kernel.chung_product(mm, 1, 1)
@@ -168,8 +168,7 @@ def type_sweep(mm: MomentMatrix, s: int,
 def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
     """Alternating ratio bound on P(S>=s, T>=t), [k-s][l-t] for s <= k <= m,
     t <= l <= n: alpha . s . beta^T over C(m-s,k-s) C(n-t,l-t)."""
-    _check_range("s", s, 1, mm.m)
-    _check_range("t", t, 1, mm.n)
+    _check_cell(mm, "st", s, t, 1)
     m, n = mm.m, mm.n
     nums, den = _kernel.chung_product(mm, s, t)
     return _grid(nums, [comb(m - s, k - s) * den for k in range(s, m + 1)],
@@ -244,9 +243,7 @@ def bonferroni_pair(
 
 def frechet_lower(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     """Product-form lower bound on P(S>=1, T>=1)."""
-    if not (1 <= k <= mm.m and 1 <= l <= mm.n):
-        _check_range("k", k, 1, mm.m)
-        _check_range("l", l, 1, mm.n)
+    _check_cell(mm, "kl", k, l, 1)
     return _ratio(type_sweep(mm, 1, 1)[0][k - 1][l - 1], LOWER, "frechet",
                   {"k": k, "l": l})
 
@@ -254,9 +251,7 @@ def frechet_lower(mm: MomentMatrix, k: int, l: int) -> BoundValue:
 def gumbel_upper(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     """Ratio-form upper bound on P(S>=1, T>=1); at k=l=1 it reduces to
     s[1][1], the first-order truncation."""
-    if not (1 <= k <= mm.m and 1 <= l <= mm.n):
-        _check_range("k", k, 1, mm.m)
-        _check_range("l", l, 1, mm.n)
+    _check_cell(mm, "kl", k, l, 1)
     return _ratio(type_sweep(mm, 1, 1)[1][k - 1][l - 1], UPPER, "gumbel",
                   {"k": k, "l": l})
 
@@ -267,9 +262,7 @@ def frechet_gumbel_type(
     """Generalized lower/upper pair targeting P(S>=s, T>=t); either bound is
     undefined when its denominator vanishes."""
     lower, upper = type_sweep(mm, s, t)
-    if not (1 <= k <= mm.m and 1 <= l <= mm.n):
-        _check_range("k", k, 1, mm.m)
-        _check_range("l", l, 1, mm.n)
+    _check_cell(mm, "kl", k, l, 1)
     params = {"s": s, "t": t, "k": k, "l": l}
     return (_ratio(lower[k - 1][l - 1], LOWER, "frechet_type", params),
             _ratio(upper[k - 1][l - 1], UPPER, "gumbel_type", params))

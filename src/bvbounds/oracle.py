@@ -227,6 +227,13 @@ class _Trial:
         """P(S>=u, T>=v) as a pair."""
         return self.tails[u][v], self.total
 
+    def targets(self) -> Iterable[Tuple[int, int, bnd.Pair]]:
+        """(s, t, P(S>=s, T>=t) as a pair) for every 1 <= s <= m and
+        1 <= t <= n, row by row."""
+        for s in range(1, self.pmf.m + 1):
+            for t in range(1, self.pmf.n + 1):
+                yield s, t, self.tail(s, t)
+
     @cached_property
     def mm(self) -> model.MomentMatrix:
         return model.moments_from_pmf(self.pmf)
@@ -415,15 +422,13 @@ def _prop_gumbel_identity(trial: _Trial, rec: _Recorder) -> None:
 
 def _prop_sandwich_bonferroni(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
-    for u in range(1, pmf.m + 1):
-        for v in range(1, pmf.n + 1):
-            tail = trial.tail(u, v)
-            kmax = (pmf.m + pmf.n - u - v) // 2 + 1
-            for k in range(kmax + 1):
-                lo, up = bnd.bonferroni_pair(mm, u, v, k)
-                p = {"u": u, "v": v, "k": k}
-                rec.le("sandwich_bonferroni_lower", p, lo.pair, tail)
-                rec.le("sandwich_bonferroni_upper", p, tail, up.pair)
+    for u, v, tail in trial.targets():
+        kmax = (pmf.m + pmf.n - u - v) // 2 + 1
+        for k in range(kmax + 1):
+            lo, up = bnd.bonferroni_pair(mm, u, v, k)
+            p = {"u": u, "v": v, "k": k}
+            rec.le("sandwich_bonferroni_lower", p, lo.pair, tail)
+            rec.le("sandwich_bonferroni_upper", p, tail, up.pair)
 
 
 def _prop_sandwich_frechet_gumbel(trial: _Trial, rec: _Recorder) -> None:
@@ -440,28 +445,24 @@ def _prop_sandwich_frechet_gumbel(trial: _Trial, rec: _Recorder) -> None:
 
 def _prop_sandwich_type(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
-    for s in range(1, pmf.m + 1):
-        for t in range(1, pmf.n + 1):
-            tail = trial.tail(s, t)
-            for k in range(1, pmf.m + 1):
-                for l in range(1, pmf.n + 1):
-                    lo, up = bnd.frechet_gumbel_type(mm, s, t, k, l)
-                    p = {"s": s, "t": t, "k": k, "l": l}
-                    if lo.defined:
-                        rec.le("sandwich_frechet_type", p, lo.pair, tail)
-                    if up.defined:
-                        rec.le("sandwich_gumbel_type", p, tail, up.pair)
+    for s, t, tail in trial.targets():
+        for k in range(1, pmf.m + 1):
+            for l in range(1, pmf.n + 1):
+                lo, up = bnd.frechet_gumbel_type(mm, s, t, k, l)
+                p = {"s": s, "t": t, "k": k, "l": l}
+                if lo.defined:
+                    rec.le("sandwich_frechet_type", p, lo.pair, tail)
+                if up.defined:
+                    rec.le("sandwich_gumbel_type", p, tail, up.pair)
 
 
 def _prop_sandwich_chung(trial: _Trial, rec: _Recorder) -> None:
     pmf, mm = trial.pmf, trial.mm
-    for s in range(1, pmf.m + 1):
-        for t in range(1, pmf.n + 1):
-            tail = trial.tail(s, t)
-            for k in range(s, pmf.m + 1):
-                for l in range(t, pmf.n + 1):
-                    rec.le("sandwich_chung", {"s": s, "t": t, "k": k, "l": l},
-                           tail, bnd.chung_bound(mm, s, t, k, l).pair)
+    for s, t, tail in trial.targets():
+        for k in range(s, pmf.m + 1):
+            for l in range(t, pmf.n + 1):
+                rec.le("sandwich_chung", {"s": s, "t": t, "k": k, "l": l},
+                       tail, bnd.chung_bound(mm, s, t, k, l).pair)
 
 
 def _prop_sandwich_comparison(trial: _Trial, rec: _Recorder) -> None:
@@ -522,17 +523,13 @@ def _prop_anchors(trial: _Trial, rec: _Recorder) -> None:
            bnd.frechet_lower(mm, m, n).pair, trial.tail(1, 1))
     rec.eq("anchor_gumbel_11", {"k": 1, "l": 1},
            bnd.gumbel_upper(mm, 1, 1).pair, _pair(mm.s[1][1]))
-    for s in range(1, m + 1):
-        for t in range(1, n + 1):
-            tail = trial.tail(s, t)
-            rec.eq("anchor_chung_full", {"s": s, "t": t},
-                   bnd.chung_bound(mm, s, t, m, n).pair, tail)
-            k_full = (m + n - s - t) // 2 + 1
-            lo, up = bnd.bonferroni_pair(mm, s, t, k_full)
-            rec.eq("anchor_bonferroni_full_lower", {"s": s, "t": t},
-                   lo.pair, tail)
-            rec.eq("anchor_bonferroni_full_upper", {"s": s, "t": t},
-                   up.pair, tail)
+    for s, t, tail in trial.targets():
+        rec.eq("anchor_chung_full", {"s": s, "t": t},
+               bnd.chung_bound(mm, s, t, m, n).pair, tail)
+        k_full = (m + n - s - t) // 2 + 1
+        lo, up = bnd.bonferroni_pair(mm, s, t, k_full)
+        rec.eq("anchor_bonferroni_full_lower", {"s": s, "t": t}, lo.pair, tail)
+        rec.eq("anchor_bonferroni_full_upper", {"s": s, "t": t}, up.pair, tail)
     if m >= 2 and n >= 2:
         rec.eq("anchor_c4", {"a": m - 1, "b": n - 1},
                bnd.comparison_bound(mm, "c3", m - 1, n - 1).pair,

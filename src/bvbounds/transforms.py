@@ -16,9 +16,11 @@ complementary moments read the Chung numerators at (1, 1), a shift by +1
 after a diagonal scaling and a reversal; the private `_kernel` module runs
 them on the grid's integer numerators by the Pascal rule.  Each inversion
 is memoised once per grid by `_kernel.memoised`, as a grid with its corner
-set, that the per-cell functions read one cell of after one chained range
-test and one memo probe.  The brute-force oracle never uses
-that kernel, so that it checks these results by independent routes.
+set, that the per-cell functions read one cell of after one memo probe.
+Every per-cell read here and in `bounds` checks its indices by one call to
+`_check_cell`, a chained comparison that names the first index out of
+range.  The brute-force oracle never uses that kernel or that check, so
+that it checks these results by independent routes.
 """
 
 from __future__ import annotations
@@ -44,8 +46,13 @@ class TailTable(RationalGrid):
         super().__init__(m, n, q)
 
 
-def _check_range(name: str, value: int, lo: int, hi: int) -> None:
-    if not (lo <= value <= hi):
+def _check_cell(grid: RationalGrid, names: str, i: int, j: int,
+                lo: int) -> None:
+    """Raise a DomainError naming the first of i (names[0]) and j (names[1])
+    outside [lo, grid.m] and [lo, grid.n]."""
+    if not (lo <= i <= grid.m and lo <= j <= grid.n):
+        name, value, hi = ((names[0], i, grid.m) if not lo <= i <= grid.m
+                           else (names[1], j, grid.n))
         raise DomainError(f"{name}={value} outside [{lo}, {hi}]")
 
 
@@ -67,9 +74,7 @@ def _inverse(grid: RationalGrid, axis) -> RationalGrid:
 
 def _cell(grid: RationalGrid, axis, names: str, i: int, j: int) -> Fraction:
     """Cell (i, j), checked in range and named by `names`, of the inversion."""
-    if not (0 <= i <= grid.m and 0 <= j <= grid.n):
-        _check_range(names[0], i, 0, grid.m)
-        _check_range(names[1], j, 0, grid.n)
+    _check_cell(grid, names, i, j, 0)
     held = _inverse(grid, axis)
     return Fraction(held.nums[i][j], held.den)
 
@@ -153,9 +158,7 @@ def complementary_moment(mm: MomentMatrix, k: int, l: int) -> Fraction:
         A[k][i] = (-1)^i C(m-i, k-i) for 1 <= i <= k, B likewise in n;
 
     A . s . B^T is the Chung numerator product at (1, 1)."""
-    if not (1 <= k <= mm.m and 1 <= l <= mm.n):
-        _check_range("k", k, 1, mm.m)
-        _check_range("l", l, 1, mm.n)
+    _check_cell(mm, "kl", k, l, 1)
     part, den = _kernel.chung_product(mm, 1, 1)
     return Fraction(comb(mm.m, k) * comb(mm.n, l) * den - part[k - 1][l - 1],
                     den)

@@ -206,6 +206,22 @@ class TestBoundValuePair:
         assert lo.value is None and not lo.defined
         assert "undefined" in lo.note
 
+    def test_undefined_built_from_a_value_has_the_note(self):
+        pmf = JointPMF(3, 1, [[Fraction(1, 2), 0], [0, 0], [0, 0],
+                              [0, Fraction(1, 2)]])
+        lo, up = frechet_gumbel_type(moments_from_pmf(pmf), 3, 1, 3, 1)
+        built = BoundValue(None, lo.direction, lo.family, dict(lo.params))
+        note = "bound undefined for these parameters (zero denominator)"
+        assert built == lo
+        assert built.note == lo.note == note
+        assert up.defined and up.note is None
+        assert replace(up, value=None).note == note
+
+    def test_no_other_attribute_is_made_up(self, mm2):
+        b = chung_bound(mm2, 1, 1, 1, 2)
+        for bound in (b, BoundValue(b.value, b.direction, b.family)):
+            assert not hasattr(bound, "nope")
+
     @given(moment_matrices(lo=1))
     @settings(max_examples=40, deadline=None)
     def test_every_defined_pair_has_a_positive_denominator(self, mm):

@@ -40,6 +40,7 @@ from bvbounds._kernel import (
     tails_axis,
     tails_inverse_axis,
 )
+from bvbounds.bounds import bonferroni_sweep, chung_sweep, type_sweep
 from bvbounds.cli import main
 from bvbounds.transforms import moment_poly_eval
 
@@ -242,13 +243,36 @@ def test_type_zero_denominator_is_undefined():
     assert up.value == ref.frechet_gumbel_type(mm, 3, 1, 2, 1)[1]
 
 
+# Each per-cell read on an extent-0 grid, with the error it raises when m = 0;
+# when n = 0 the second name of each pair is named instead.
+EXTENT_ZERO_ERRORS = [
+    (lambda mm: complementary_moment(mm, 1, 1), "{k}=1 outside [1, 0]"),
+    (lambda mm: frechet_lower(mm, 1, 1), "{k}=1 outside [1, 0]"),
+    (lambda mm: gumbel_upper(mm, 1, 1), "{k}=1 outside [1, 0]"),
+    (lambda mm: frechet_gumbel_type(mm, 1, 1, 1, 1), "{s}=1 outside [1, 0]"),
+    (lambda mm: type_sweep(mm, 1, 1), "{s}=1 outside [1, 0]"),
+    (lambda mm: chung_sweep(mm, 1, 1), "{s}=1 outside [1, 0]"),
+    (lambda mm: bonferroni_pair(mm, 1, 1, 0), "{u}=1 outside [1, 0]"),
+    (lambda mm: bonferroni_sweep(mm, 1, 1), "{u}=1 outside [1, 0]"),
+    (lambda mm: chung_bound(mm, 1, 1, 1, 1), "need 1 <= {s} <= {k} <= {m}"),
+    (lambda mm: tails_from_moments(mm, 1, 1), "{u}=1 outside [0, 0]"),
+]
+
+
 def test_extent_zero_moment_grid():
     mm = MomentMatrix(0, 2, [[Fraction(1), Fraction(-1, 2), Fraction(1, 3)]])
     for v in range(3):
         assert pmf_from_moments(mm, 0, v) == ref.pmf_from_moments(mm, 0, v)
         assert tails_from_moments(mm, 0, v) == ref.tails_from_moments(mm, 0, v)
-    with pytest.raises(DomainError, match=r"k=1 outside \[1, 0\]"):
-        complementary_moment(mm, 1, 1)
+    empty_m = dict(k="k", s="s", u="u", m="m")
+    empty_n = dict(k="l", s="t", u="v", m="n")
+    for grid, names in ((mm, empty_m),
+                        (MomentMatrix(2, 0, [[1], [Fraction(1, 2)], [0]]),
+                         empty_n)):
+        for call, message in EXTENT_ZERO_ERRORS:
+            with pytest.raises(DomainError) as err:
+                call(grid)
+            assert str(err.value) == message.format(**names)
 
 
 def test_results_are_cached_per_instance_without_changing_equality():

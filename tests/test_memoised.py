@@ -98,7 +98,7 @@ def test_a_call_that_raises_on_a_fresh_grid_adds_no_memo():
 
 
 def outside(name, value, lo, hi):
-    """(whether value is in range, the message `_check_range` raises)."""
+    """(whether value is in range, the message `_check_cell` raises for it)."""
     return lo <= value <= hi, f"{name}={value} outside [{lo}, {hi}]"
 
 

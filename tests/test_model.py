@@ -305,6 +305,15 @@ class TestHeldGrids:
             assert grid(fresh) == held
             assert len(calls) == 1
 
+    def test_repr_names_the_view(self):
+        pmf = JointPMF(1, 1, self.PMF)
+        mm = moments_from_pmf(pmf)
+        for grid, view in ((pmf, "p"), (mm, "s"),
+                           (tail_table_from_moments(mm), "q"),
+                           (pmf_grid_from_moments(mm), "cells")):
+            assert repr(grid) == (f"{type(grid).__name__}(m=1, n=1, "
+                                  f"{view}={getattr(grid, view)!r})")
+
     def test_grids_are_frozen(self):
         mm = MomentMatrix(1, 1, [[1, 0], [0, 0]])
         with pytest.raises(FrozenInstanceError):
