@@ -23,11 +23,12 @@ and computes once per grid and target, and a repeat call returns the held
 sweep after one memo probe.  Each sweep's target and the Frechet, Gumbel
 and type depth (k, l) are checked by one call to `transforms._check_cell`,
 which the inversions share.  A per-bound function reads one cell (c1, c3
-and c6 compute one pair) and returns a `BoundValue` built one way for a
-defined and an undefined bound: it holds the pair and builds its
-`Fraction` only when `value` is read.  The Frechet and Gumbel families are
-the type pair at target (1, 1), and Gumbel is Chung at (1, 1): both hold
-the same unreduced pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
+and c6 compute one pair) and returns a `BoundValue` built from that pair
+by its one constructor, which also takes a rational or None: it holds
+the pair and builds its `Fraction` only when `value` is read.  The
+Frechet and Gumbel families are the type pair at target (1, 1), and
+Gumbel is Chung at (1, 1): both hold the same unreduced pair, since
+C(m,k) - C(m-1,k) = C(m-1,k-1).
 
 `FAMILIES` states each family of `bound` once: its parameters, which are
 the CLI's flags, and the call that evaluates it.  `tables(mm, u, v)` holds
@@ -64,27 +65,33 @@ PairGrid = List[List[Pair]]  # [i][j]: depth (first k + i, first l + j)
 Row = Tuple[str, str, int, int]  # (label, direction, numerator, denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundValue:
     """A computed bound: value (None when undefined), direction, family,
     and the parameters it was evaluated at.
 
-    `pair` is the value as (numerator, denominator > 0), not necessarily
-    reduced, or (0, 0) when undefined, and `note` says why a bound is
-    undefined.  A bound this module computes holds only the pair and builds
-    `value` when it is first read; one constructed with a value
-    (`dataclasses.replace`) takes its pair from it."""
+    `value` may be given as a rational, None or a (numerator, denominator)
+    pair; `pair` is the value as (numerator, denominator > 0), not
+    necessarily reduced, or (0, 0) when undefined, and `note` says why a
+    bound is undefined.  A bound given a pair builds `value` when it is
+    first read."""
 
     value: Optional[Fraction]
     direction: str
     family: str
-    params: Dict[str, int] = field(default_factory=dict)
+    params: Dict[str, int]
     pair: Pair = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        value = self.value
-        object.__setattr__(self, "pair", (0, 0) if value is None
-                           else (value.numerator, value.denominator))
+    def __init__(self, value, direction: str, family: str,
+                 params: Optional[Dict[str, int]] = None):
+        if isinstance(value, tuple):  # value is built from it when read
+            pair = value if value[1] else (0, 0)
+        else:
+            self.__dict__["value"] = value
+            pair = ((0, 0) if value is None
+                    else (value.numerator, value.denominator))
+        self.__dict__.update(pair=pair, direction=direction, family=family,
+                             params={} if params is None else params)
 
     def __getattr__(self, name: str):  # reached only while value is unbuilt
         if name != "value" or "pair" not in vars(self):
@@ -101,15 +108,6 @@ class BoundValue:
     def note(self) -> Optional[str]:
         return (None if self.defined else
                 "bound undefined for these parameters (zero denominator)")
-
-
-def _ratio(cell: Pair, direction: str, family: str,
-           params: Dict[str, int]) -> BoundValue:
-    """The bound in a sweep cell, undefined when its denominator is 0."""
-    bound = object.__new__(BoundValue)
-    bound.__dict__.update(pair=cell if cell[1] else (0, 0),
-                          direction=direction, family=family, params=params)
-    return bound
 
 
 def _grid(nums, a, b) -> PairGrid:
@@ -237,23 +235,23 @@ def bonferroni_pair(
     if k < 0:
         raise DomainError("k must be nonnegative")
     depth, params = min(k, len(lower) - 1), {"u": u, "v": v, "k": k}
-    return (_ratio(lower[depth], LOWER, "bonferroni", params),
-            _ratio(upper[depth], UPPER, "bonferroni", params))
+    return (BoundValue(lower[depth], LOWER, "bonferroni", params),
+            BoundValue(upper[depth], UPPER, "bonferroni", params))
 
 
 def frechet_lower(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     """Product-form lower bound on P(S>=1, T>=1)."""
     _check_cell(mm, "kl", k, l, 1)
-    return _ratio(type_sweep(mm, 1, 1)[0][k - 1][l - 1], LOWER, "frechet",
-                  {"k": k, "l": l})
+    return BoundValue(type_sweep(mm, 1, 1)[0][k - 1][l - 1], LOWER,
+                      "frechet", {"k": k, "l": l})
 
 
 def gumbel_upper(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     """Ratio-form upper bound on P(S>=1, T>=1); at k=l=1 it reduces to
     s[1][1], the first-order truncation."""
     _check_cell(mm, "kl", k, l, 1)
-    return _ratio(type_sweep(mm, 1, 1)[1][k - 1][l - 1], UPPER, "gumbel",
-                  {"k": k, "l": l})
+    return BoundValue(type_sweep(mm, 1, 1)[1][k - 1][l - 1], UPPER,
+                      "gumbel", {"k": k, "l": l})
 
 
 def frechet_gumbel_type(
@@ -264,8 +262,8 @@ def frechet_gumbel_type(
     lower, upper = type_sweep(mm, s, t)
     _check_cell(mm, "kl", k, l, 1)
     params = {"s": s, "t": t, "k": k, "l": l}
-    return (_ratio(lower[k - 1][l - 1], LOWER, "frechet_type", params),
-            _ratio(upper[k - 1][l - 1], UPPER, "gumbel_type", params))
+    return (BoundValue(lower[k - 1][l - 1], LOWER, "frechet_type", params),
+            BoundValue(upper[k - 1][l - 1], UPPER, "gumbel_type", params))
 
 
 def chung_bound(mm: MomentMatrix, s: int, t: int, k: int, l: int) -> BoundValue:
@@ -275,8 +273,8 @@ def chung_bound(mm: MomentMatrix, s: int, t: int, k: int, l: int) -> BoundValue:
         raise DomainError("need 1 <= s <= k <= m")
     if not (1 <= t <= l <= mm.n):
         raise DomainError("need 1 <= t <= l <= n")
-    return _ratio(chung_sweep(mm, s, t)[k - s][l - t], UPPER, "chung",
-                  {"s": s, "t": t, "k": k, "l": l})
+    return BoundValue(chung_sweep(mm, s, t)[k - s][l - t], UPPER, "chung",
+                      {"s": s, "t": t, "k": k, "l": l})
 
 
 def comparison_bound(mm: MomentMatrix, which: str, a: Optional[int] = None,
@@ -298,8 +296,8 @@ def comparison_bound(mm: MomentMatrix, which: str, a: Optional[int] = None,
     (_, s11, s12, *_), (_, s21, s22, *_) = mm.nums[1:3]
     mn, den = m * n, mm.den
     if which == "c1":
-        return _ratio((mn * s11 - 2 * m * s12 - 2 * n * s21 + 4 * s22,
-                       mn * den), UPPER, "galambos_xu", {"u": 1, "v": 1})
+        return BoundValue((mn * s11 - 2 * m * s12 - 2 * n * s21 + 4 * s22,
+                           mn * den), UPPER, "galambos_xu", {"u": 1, "v": 1})
     if which == "c3":
         if a is None or b is None:
             raise DomainError("c3 requires integer parameters a and b")
@@ -309,13 +307,13 @@ def comparison_bound(mm: MomentMatrix, which: str, a: Optional[int] = None,
             raise DomainError(f"c3 requires m - 2a - 1 <= 0 (m={m}, a={a})")
         if n - 2 * b - 1 > 0:
             raise DomainError(f"c3 requires n - 2b - 1 <= 0 (n={n}, b={b})")
-        return _ratio((4 * (a * b * s11 - a * s12 - b * s21 + s22),
-                       (a + 1) * (b + 1) * a * b * den), LOWER, "chen_seneta",
-                      {"u": 1, "v": 1, "a": a, "b": b})
+        return BoundValue((4 * (a * b * s11 - a * s12 - b * s21 + s22),
+                           (a + 1) * (b + 1) * a * b * den), LOWER,
+                          "chen_seneta", {"u": 1, "v": 1, "a": a, "b": b})
     # c6: both terms over mn D, so the min of their numerators
-    return _ratio((min(mn * s11 - 2 * s12 - 2 * n * s21,
-                       mn * s11 - 2 * m * s12 - 2 * s21), mn * den),
-                  UPPER, "madi_nagy_prekopa", {"u": 1, "v": 1})
+    return BoundValue((min(mn * s11 - 2 * s12 - 2 * n * s21,
+                           mn * s11 - 2 * m * s12 - 2 * s21), mn * den),
+                      UPPER, "madi_nagy_prekopa", {"u": 1, "v": 1})
 
 
 # Each family of `bound --family`: (the parameters that follow the moment

@@ -126,7 +126,7 @@ def _grid_from_json(doc: dict, key: str, path: str, cls):
 
 def load_events_csv(path: str) -> EventSystem:
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except (OSError, ValueError, csv.Error) as exc:  # also bad UTF-8
@@ -190,11 +190,14 @@ def load_instance(path: str) -> Union[JointPMF, EventSystem, MomentMatrix]:
     if path.endswith(".csv"):
         return load_events_csv(path)
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError, RecursionError) as exc:  # deep nesting too
         raise InputError(f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
+    if "p" in doc and "s" in doc:
+        raise InputError(f"{path}: JSON must contain a 'p' (pmf) or an 's' "
+                         "(moments) grid, not both")
     try:
         if "p" in doc:
             return _grid_from_json(doc, "p", path, JointPMF)

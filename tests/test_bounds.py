@@ -1,5 +1,8 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,8 @@ from bvbounds import (
     gumbel_upper,
     moments_from_pmf,
 )
-from bvbounds.bounds import BoundValue
+import bvbounds.bounds as bounds_mod
+from bvbounds.bounds import LOWER, UPPER, BoundValue
 from test_kernel import moment_matrices
 
 third = Fraction(1, 3)
@@ -217,6 +221,21 @@ class TestBoundValuePair:
         assert up.defined and up.note is None
         assert replace(up, value=None).note == note
 
+    def test_built_from_a_pair(self):
+        b = BoundValue((2, 4), UPPER, "chung", {"k": 1})
+        assert "value" not in vars(b)  # not built until read
+        assert b.pair == (2, 4) and b.defined
+        assert b == BoundValue(Fraction(1, 2), UPPER, "chung", {"k": 1})
+        assert "value" in vars(b) and b.pair == (2, 4)
+
+    def test_built_from_a_pair_with_zero_denominator(self):
+        b = BoundValue((5, 0), LOWER, "frechet_type")
+        assert b.pair == (0, 0) and not b.defined
+        assert b.note == ("bound undefined for these parameters (zero "
+                          "denominator)")
+        assert b.value is None and b.params == {}
+        assert b == BoundValue(None, LOWER, "frechet_type")
+
     def test_no_other_attribute_is_made_up(self, mm2):
         b = chung_bound(mm2, 1, 1, 1, 2)
         for bound in (b, BoundValue(b.value, b.direction, b.family)):
@@ -252,3 +271,72 @@ class TestBoundValuePair:
                 assert Fraction(*b.pair) == b.value
             else:
                 assert b.pair == (0, 0) and b.value is None
+
+
+def _univariate_chung(law, s, k):
+    """Hoppe-Seneta bound on P(X >= s) at depth k for a law on 0..m:
+    sum over i = s..k of (-1)^(i-s) C(i-1, s-1) C(m-i, k-i) E C(X, i),
+    over C(m-s, k-s)."""
+    m = len(law) - 1
+    return sum((-1) ** (i - s) * comb(i - 1, s - 1) * comb(m - i, k - i)
+               * sum(comb(x, i) * p for x, p in enumerate(law))
+               for i in range(s, k + 1)) / comb(m - s, k - s)
+
+
+def _univariate_type_upper(law, s, k):
+    """E[C(m,k) - C(m-X,k)] / (C(m,k) - C(m-s,k)), None when the
+    denominator is 0."""
+    m = len(law) - 1
+    den = comb(m, k) - comb(m - s, k)
+    if den == 0:
+        return None
+    return sum((comb(m, k) - comb(m - x, k)) * p
+               for x, p in enumerate(law)) / den
+
+
+def _product_law_mismatches(seeds):
+    """(checks, mismatches) of the Chung and type upper bounds of the
+    product of two random marginal laws against the products of their
+    univariate forms, at every (s, t, k, l)."""
+    checks = mismatches = 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        a, b = ([Fraction(rng.randint(1, 9)) for _ in range(rng.randint(2, 7))]
+                for _ in range(2))
+        a, b = [x / sum(a) for x in a], [y / sum(b) for y in b]
+        m, n = len(a) - 1, len(b) - 1
+        mm = moments_from_pmf(JointPMF(m, n, [[x * y for y in b] for x in a]))
+        depths_a = list(product(range(1, m + 1), repeat=2))
+        depths_b = list(product(range(1, n + 1), repeat=2))
+        chung_a = {(s, k): _univariate_chung(a, s, k)
+                   for s, k in depths_a if k >= s}
+        chung_b = {(t, l): _univariate_chung(b, t, l)
+                   for t, l in depths_b if l >= t}
+        type_a = {sk: _univariate_type_upper(a, *sk) for sk in depths_a}
+        type_b = {tl: _univariate_type_upper(b, *tl) for tl in depths_b}
+        for (s, k), (t, l) in product(depths_a, depths_b):
+            if k >= s and l >= t:
+                checks += 1
+                mismatches += (bounds_mod.chung_bound(mm, s, t, k, l).value
+                               != chung_a[s, k] * chung_b[t, l])
+            ua, ub = type_a[s, k], type_b[t, l]
+            checks += 1
+            mismatches += (bounds_mod.frechet_gumbel_type(mm, s, t, k, l)[1]
+                           .value != (None if None in (ua, ub) else ua * ub))
+    return checks, mismatches
+
+
+def test_product_laws_factor_into_univariate_bounds(monkeypatch):
+    # the paper's special univariate properties: for independent S and T
+    # the bivariate Chung and type upper bounds are products of the
+    # univariate ones, which this test states by direct sums
+    checks, mismatches = _product_law_mismatches(range(40))
+    assert checks > 5000 and mismatches == 0
+    real = bounds_mod.frechet_gumbel_type
+
+    def doubled(mm, s, t, k, l):  # still a valid upper bound
+        lo, up = real(mm, s, t, k, l)
+        return lo, (up if (s, t) == (1, 1) else replace(up, value=2 * up.value))
+
+    monkeypatch.setattr(bounds_mod, "frechet_gumbel_type", doubled)
+    assert _product_law_mismatches(range(5))[1] > 0

@@ -492,6 +492,16 @@ class TestErrors:
         assert err == (f"error: {path}: line 1: n is 129, above the limit "
                        "of 128\n")
 
+    def test_json_with_both_grids(self, tmp_path, capsys):
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({"m": 1, "n": 1,
+                                    "p": [["1/2", "0"], ["0", "1/2"]],
+                                    "s": [["1", "5"], ["5", "9"]]}))
+        status, out, err = run(["moments", "--in", str(path)], capsys)
+        assert (status, out) == (1, "")
+        assert err == (f"error: {path}: JSON must contain a 'p' (pmf) or an "
+                       "'s' (moments) grid, not both\n")
+
     def test_top_level_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2]")
@@ -611,6 +621,18 @@ class TestInputChecks:
         status, out, err = run(["moments", "--in", str(path)], capsys)
         assert (status, out) == (1, "")
         assert err == f"error: {path}: {message}\n"
+
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        # as written by spreadsheets' "CSV UTF-8": the same stdout with it
+        for name in ("events3x2.csv", "pmf6.json"):
+            text = (GOLDEN / name).read_bytes()
+            plain, marked = tmp_path / name, tmp_path / f"bom_{name}"
+            plain.write_bytes(text)
+            marked.write_bytes(b"\xef\xbb\xbf" + text)
+            for argv in (["compare", "--u", "1", "--v", "1"], ["moments"]):
+                got = [run(argv + ["--in", str(path)], capsys)
+                       for path in (plain, marked)]
+                assert got[0] == got[1] and got[0][0] == 0
 
     def test_event_csv_blank_lines_are_skipped(self, tmp_path, capsys):
         path = tmp_path / "events.csv"

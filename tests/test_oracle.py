@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,20 @@ class TestValidate:
         pmf_specs = [InstanceSpec(11, 3, 2, "dense_pmf"),
                      InstanceSpec(12, 2, 3, "sparse_pmf")]
         assert validate(pmf_specs).checks["gumbel_identity"] == 0
+
+    def test_each_property_yields_the_checks_it_counts(self):
+        from bvbounds.oracle import _PROPERTIES, _Trial
+
+        specs = [InstanceSpec(21, 3, 2), InstanceSpec(22, 2, 3, "sparse_pmf"),
+                 InstanceSpec(23, 2, 2, "event_system", atoms=5)]
+        counted = dict.fromkeys(ALL_PROPERTIES, 0)
+        for spec, prop in product(specs, ALL_PROPERTIES):
+            trial = _Trial(random_instance(spec))
+            checks = list(_PROPERTIES[prop](trial))
+            assert list(_PROPERTIES[prop](trial)) == checks
+            assert validate([spec], [prop]).checks[prop] == len(checks)
+            counted[prop] += len(checks)
+        assert all(counted.values())
 
     def test_all_properties_listed(self):
         assert "theorem1_roundtrip" in ALL_PROPERTIES
