@@ -10,7 +10,7 @@ m, n, --mmax and --nmax may be at most DIMENSION_LIMIT, and a decimal
 exponent at most EXPONENT_LIMIT in absolute value.
 
 Exit status: 0 success, 1 usage/parse error, 2 property violation found by
-`validate` or `sweep`.
+`validate` or `sweep`, or a `moments` MISMATCH on an event CSV.
 """
 
 from __future__ import annotations
@@ -364,11 +364,10 @@ def _compare_lines(rows) -> List[str]:
             key, text = (num << shift) // den, f"{fmt_ratio(num, den):24s}"
         keyed.append((key, direction, lbl, text))
     keyed.sort()
-    best = {
-        "lower": next((k[0] for k in reversed(keyed) if k[1] == "lower"),
-                      None),
-        "upper": next((k[0] for k in keyed if k[1] == "upper"), None),
-    }
+    best = {bnd.LOWER: next((k[0] for k in reversed(keyed)
+                             if k[1] == bnd.LOWER), None),
+            bnd.UPPER: next((k[0] for k in keyed if k[1] == bnd.UPPER),
+                            None)}
     return [f"{direction:5s}  {text}  {lbl}"
             + (f"  *best {direction}*" if key == best[direction] else "")
             for key, direction, lbl, text in keyed]
@@ -433,9 +432,9 @@ def _specs(args):
 
 
 FAMILY_CHOICES = tuple(bnd.FAMILIES)
-# Every parameter flag of `bound`, in the parser's order; each family takes
-# the ones its `bounds.FAMILIES` entry names.
-BOUND_FLAGS = ("u", "v", "s", "t", "k", "l", "a", "b")
+# `bound`'s flags: the `bounds.FAMILIES` parameters, in first-named order
+BOUND_FLAGS = tuple(dict.fromkeys(
+    flag for flags, _ in bnd.FAMILIES.values() for flag in flags))
 
 
 @lru_cache(maxsize=None)

@@ -79,6 +79,9 @@ class RationalGrid:
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __eq__(self, other) -> bool:
         return (self._key() == other._key() if type(other) is type(self)
                 else NotImplemented)
@@ -99,9 +102,6 @@ class JointPMF(RationalGrid):
 
     VIEW, WHAT, LEAST = "p", "pmf", 1
     p = cached_property(RationalGrid._view)
-
-    def __init__(self, m: int, n: int, p: Sequence[Sequence]):
-        super().__init__(m, n, p)
 
     def _hold(self, m: int, n: int, nums, den: int) -> None:
         super()._hold(m, n, nums, den)
@@ -151,9 +151,6 @@ class MomentMatrix(RationalGrid):
 
     VIEW, WHAT, LEAST = "s", "moment", 0
     s = cached_property(RationalGrid._view)
-
-    def __init__(self, m: int, n: int, s: Sequence[Sequence]):
-        super().__init__(m, n, s)
 
 
 def moments_from_pmf(pmf: JointPMF) -> MomentMatrix:

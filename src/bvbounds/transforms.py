@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import mul
-from typing import Sequence
 
 from . import _kernel
 from .combinatorics import DomainError, Rational
@@ -41,9 +40,6 @@ class TailTable(RationalGrid):
 
     VIEW, WHAT, LEAST = "q", "tail", 1
     q = cached_property(RationalGrid._view)
-
-    def __init__(self, m: int, n: int, q: Sequence[Sequence]):
-        super().__init__(m, n, q)
 
 
 def _check_cell(grid: RationalGrid, names: str, i: int, j: int,

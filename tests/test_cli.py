@@ -58,6 +58,23 @@ class TestMoments:
         assert "bonferroni sums" in out
         assert "gumbel identity" in out and "OK" in out
 
+    def test_identity_mismatch_exits_2(self, capsys, monkeypatch):
+        bonferroni_sums = model.bonferroni_sums
+
+        def planted(es, kmax, lmax):  # one cell off by 1
+            grid = bonferroni_sums(es, kmax, lmax)
+            nums = [list(row) for row in grid.nums]
+            nums[1][1] += grid.den
+            return model.MomentMatrix.from_ints(grid.m, grid.n, nums, grid.den)
+
+        monkeypatch.setattr(model, "bonferroni_sums", planted)
+        status, out, err = run(
+            ["moments", "--in", str(GOLDEN / "events3x2.csv")], capsys)
+        assert (status, err) == (2, "")
+        assert out.endswith(
+            "gumbel identity vs counting-pmf moments: MISMATCH\n")
+        assert "  7/4  4  5/4\n" in out
+
     def test_json_round_trip_via_invert(self, e2_file, tmp_path, capsys):
         status, out, _ = run(["moments", "--in", e2_file, "--json"], capsys)
         assert status == 0

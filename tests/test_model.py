@@ -318,5 +318,8 @@ class TestHeldGrids:
         mm = MomentMatrix(1, 1, [[1, 0], [0, 0]])
         with pytest.raises(FrozenInstanceError):
             mm.s = ((1, 1), (1, 1))
+        with pytest.raises(FrozenInstanceError, match="cannot delete field"):
+            del mm.den
+        assert mm == MomentMatrix(1, 1, [[1, 0], [0, 0]])
         with pytest.raises(AttributeError):
             mm.p

@@ -189,11 +189,10 @@ def test_bound_family_choices_are_the_families():
 
 
 def test_bound_flags_are_the_family_parameters():
-    # the parser lists the flags itself, in its own order, so that a new
-    # family parameter has to be added there too
-    flags = {a.dest for a in bound_actions() if a.type is int}
-    assert flags == {p for params, _ in bounds_mod.FAMILIES.values()
-                     for p in params}
+    flags = [a.dest for a in bound_actions() if a.type is int]
+    named = [p for params, _ in bounds_mod.FAMILIES.values() for p in params]
+    assert flags == sorted(set(named), key=named.index)
+    assert flags == ["u", "v", "k", "l", "s", "t", "a", "b"]
 
 
 def test_rising_families_are_two_depth_tables():
