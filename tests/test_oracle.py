@@ -42,28 +42,50 @@ def _bonferroni_upper_minus_1(real):
     return planted
 
 
-def _c1_minus_1(real):
-    def planted(mm, which, *args):
-        bound = real(mm, which, *args)
-        return replace(bound, value=bound.value - 1) if which == "c1" else bound
-    return planted
+def _shifted(delta):
+    def wrap(real):
+        def planted(*args):
+            bound = real(*args)
+            return replace(bound, value=bound.value + delta)
+        return planted
+    return wrap
 
 
-# fault id: (bound function, wrapper that plants the fault)
+def _comparison_shifted(which, delta):
+    def wrap(real):
+        def planted(mm, name, *args):
+            bound = real(mm, name, *args)
+            if name != which:
+                return bound
+            return replace(bound, value=bound.value + delta)
+        return planted
+    return wrap
+
+
+# fault id: the (bound function, wrapper that plants the fault) of each
+# fault it plants, together
 PAIR_FAULTS = {
-    "frechet_gumbel_type_lower_plus_1": ("frechet_gumbel_type",
-                                         _type_lower_plus_1),
-    "bonferroni_pair_upper_minus_1": ("bonferroni_pair",
-                                      _bonferroni_upper_minus_1),
-    "comparison_c1_minus_1": ("comparison_bound", _c1_minus_1),
+    "frechet_gumbel_type_lower_plus_1": (("frechet_gumbel_type",
+                                          _type_lower_plus_1),),
+    "bonferroni_pair_upper_minus_1": (("bonferroni_pair",
+                                       _bonferroni_upper_minus_1),),
+    "comparison_c1_minus_1": (("comparison_bound",
+                               _comparison_shifted("c1", -1)),),
+    # Frechet and Gumbel fail in the same trials, as do c1 and c3
+    "frechet_lower_plus_1_gumbel_upper_minus_1": (
+        ("frechet_lower", _shifted(1)), ("gumbel_upper", _shifted(-1))),
+    "comparison_c1_minus_1_c3_plus_1": (
+        ("comparison_bound", _comparison_shifted("c1", -1)),
+        ("comparison_bound", _comparison_shifted("c3", 1))),
 }
 
 
 def plant_pair_fault(monkeypatch, fault):
     import bvbounds.bounds as bounds_mod
 
-    name, wrap = PAIR_FAULTS[fault]
-    monkeypatch.setattr(bounds_mod, name, wrap(getattr(bounds_mod, name)))
+    for name, wrap in PAIR_FAULTS[fault]:
+        monkeypatch.setattr(bounds_mod, name,
+                            wrap(getattr(bounds_mod, name)))
 
 
 class TestInstanceSpec:
@@ -258,6 +280,19 @@ class TestValidate:
         assert report.checks == golden["checks"]
         assert report.to_dict()["failures"] == golden["failures"]
         assert golden["failures"]
+
+    def test_check_counts_of_the_cli_validate_run(self):
+        # the checks of each property, in run order, over the specs of the
+        # golden run `validate --trials 60 --seed 0`
+        from bvbounds.cli import _specs, build_parser
+
+        args = build_parser().parse_args(["validate", "--trials", "60",
+                                          "--seed", "0"])
+        report = validate(_specs(args))
+        golden = json.loads((GOLDEN / "validate60_seed0_checks.json")
+                            .read_text())
+        assert list(report.checks.items()) == list(golden.items())
+        assert report.trials == 60 and report.ok
 
     def test_repeated_property_runs_once(self, monkeypatch):
         # the same checks and failures with and without a repeated id
