@@ -92,9 +92,9 @@ class RationalGrid:
     def _key(self):
         return self.m, self.n, self.den, self.nums
 
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(m={self.m}, n={self.n}, "
-                f"{self.VIEW}={getattr(self, self.VIEW)!r})")
+    def __repr__(self) -> str:  # the constructor call, with cells positional
+        return (f"{type(self).__name__}({self.m}, {self.n}, "
+                f"{getattr(self, self.VIEW)!r})")
 
 
 class JointPMF(RationalGrid):

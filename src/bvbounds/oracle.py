@@ -3,41 +3,26 @@
 Everything here works directly on pmfs and event systems by exact
 summation, never through the moment machinery, so a disagreement between
 this module and the transform/bound formulas is a genuine bug on the
-formula side.
+formula side.  The pmf is summed on integers: its cells as weights over
+the lcm of their denominators, computed here from the cells themselves;
+the tail table is their two-dimensional suffix sums, and `exact_tail`
+keeps the literal sum over the orthant.
 
-The pmf is summed on integers: its cells as weights over the lcm of their
-denominators, which this module computes from the cells themselves.  The
-tail table comes from two-dimensional suffix sums of those weights,
-q[u][v] = w[u][v] + q[u+1][v] + q[u][v+1] - q[u+1][v+1], in O(mn);
-`exact_tail` keeps the literal sum over the orthant for a single target.
+Each trial of `validate` builds one context (`_Trial`) that its properties
+read, built on first use and never kept across instances.  Every property
+is in one table, in the default run order (`ALL_PROPERTIES`).  It yields
+its checks, each a tuple (equal, property id, params, lhs, rhs) on two
+integer pairs, and one function, `_record`, compares them exactly and
+builds a `Failure` only for a check that fails.
 
-Each trial of `validate` builds one context (`_Trial`) that every property
-reads: the pmf and its weights, and, built on first use, the suffix sums,
-the moment grid from `model.moments_from_pmf` and the tail table.  The
-context lives for one trial only, so nothing is cached across instances.
-`tail_table_from_pmf` is the tail table of such a context.
-
-Every property is in one table, whose order is the default run order
-(`ALL_PROPERTIES`): `gumbel_identity` first, which checks nothing on a pmf
-trial, then the properties of the pmf.  `validate` runs the selected ids
-in the order given.
-
-Every property takes the trial and yields its checks, each a plain tuple
-(equal, property id, params, lhs, rhs) on two integer pairs.  One
-function, `_record`, compares a/b with c/d by cross-multiplication (both
-denominators are positive), builds the `Fraction`s of a `Failure` only
-when a check fails, and returns the count that `validate` adds to the
-property's total.  A bound gives its `BoundValue.pair`, a transform's
-`Fraction` its numerator and denominator, and the theorem checks read the
-trial's own weights and suffix sums over `total`, not the model's
-`Fraction` views.
-
-`RISING` states the shape theorem of each swept family once.
-`check_shape` yields its checks on a grid of pairs for the `*_shape`
-properties, which read the bounds one cell at a time (never
-`bounds.tables`, `bounds.compare_rows` or a sweep), and `shape_failures`
-records them the same way to give the CLI's `sweep` the checks a table
-fails.
+`FAMILY_TABLE` states each bound family once: the check ids of its lower
+and upper bounds, its `bounds` function, its cells at (m, n) and its
+shape in the depths (`RISING`).  A trial calls each family's function
+once per cell, on first use (never a sweep, `bounds.tables` or
+`bounds.compare_rows`), and two generators read those bounds: `_sandwich`
+puts each on its side of the exact tail, and `_shape` runs `check_shape`
+on each target's grid, which `shape_failures` also records for the CLI's
+`sweep`.
 """
 
 from __future__ import annotations
@@ -45,11 +30,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
+from itertools import chain, repeat
 from math import comb, lcm
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple, Union)
 
 from . import bounds as bnd
 from . import model, transforms
@@ -200,12 +186,103 @@ def tail_table_from_pmf(pmf: JointPMF) -> TailTable:
 
 
 # ---------------------------------------------------------------------------
+# the oracle's table of bound families
+
+def _targets(m: int, n: int) -> Iterator[Tuple[int, int]]:
+    return ((s, t) for s in range(1, m + 1) for t in range(1, n + 1))
+
+
+def _sides(got) -> Tuple[List[bnd.Pair], List[bnd.Pair]]:
+    """The pairs of the lower and of the upper bounds of (lower, upper)s."""
+    return [lo.pair for lo, _ in got], [up.pair for _, up in got]
+
+
+def _bonferroni_cells(mm, call):
+    for u, v in _targets(mm.m, mm.n):
+        ks = range((mm.m + mm.n - u - v) // 2 + 2)
+        yield ((u, v), len(ks), [{"u": u, "v": v, "k": k} for k in ks],
+               _sides([call(mm, u, v, k) for k in ks]))
+
+
+def _depth_cells(mm, call):
+    ks, ls = range(1, mm.m + 1), range(1, mm.n + 1)
+    yield ((1, 1), len(ls), [{"k": k, "l": l} for k in ks for l in ls],
+           ([call(mm, k, l).pair for k in ks for l in ls],))
+
+
+def _type_cells(mm, call):
+    ks, ls = range(1, mm.m + 1), range(1, mm.n + 1)
+    for s, t in _targets(mm.m, mm.n):
+        yield ((s, t), len(ls),
+               [{"s": s, "t": t, "k": k, "l": l} for k in ks for l in ls],
+               _sides([call(mm, s, t, k, l) for k in ks for l in ls]))
+
+
+def _chung_cells(mm, call):
+    for s, t in _targets(mm.m, mm.n):
+        ks, ls = range(s, mm.m + 1), range(t, mm.n + 1)
+        yield ((s, t), len(ls),
+               [{"s": s, "t": t, "k": k, "l": l} for k in ks for l in ls],
+               ([call(mm, s, t, k, l).pair for k in ks for l in ls],))
+
+
+def _closed_cells(mm, call, which: str):
+    if mm.m >= 2 and mm.n >= 2:
+        yield (1, 1), 1, [{}], ([call(mm, which).pair],)
+
+
+def _c3_cells(mm, call):
+    if mm.m >= 2 and mm.n >= 2:
+        # from the least a and b with m <= 2a + 1 and n <= 2b + 1
+        as_ = range(max(1, mm.m // 2), mm.m + 1)
+        bs = range(max(1, mm.n // 2), mm.n + 1)
+        yield ((1, 1), len(bs), [{"a": a, "b": b} for a in as_ for b in bs],
+               ([call(mm, "c3", a, b).pair for a in as_ for b in bs],))
+
+
+class Family(NamedTuple):
+    """How the oracle checks one family of `bound --family`: the check ids of
+    its lower and upper bounds, None for a side it does not bound; the name
+    of its `bounds` function, which returns the bound, or the pair (lower,
+    upper); its `cells(mm, call)`, which calls that function once per cell,
+    in check order, and yields each target (u, v), its number of columns
+    (one row per depth), the params of its cells row by row, and the pairs
+    of its bounds on each side it bounds, the lower first; and, for a swept
+    family, its shape in the depths k and l: rising (True) is nondecreasing
+    and concave, falling (False) nonincreasing and convex."""
+
+    lower: Optional[str]
+    upper: Optional[str]
+    call: str
+    cells: Callable[..., Iterator[tuple]]
+    rising: Optional[bool] = None
+
+
+FAMILY_TABLE: Dict[str, Family] = {
+    "bonferroni": Family("sandwich_bonferroni_lower",
+                         "sandwich_bonferroni_upper", "bonferroni_pair",
+                         _bonferroni_cells),
+    "frechet": Family("sandwich_frechet", None, "frechet_lower",
+                      _depth_cells, rising=True),
+    "gumbel": Family(None, "sandwich_gumbel", "gumbel_upper", _depth_cells,
+                     rising=False),
+    "type": Family("sandwich_frechet_type", "sandwich_gumbel_type",
+                   "frechet_gumbel_type", _type_cells),
+    "chung": Family(None, "sandwich_chung", "chung_bound", _chung_cells,
+                    rising=False),
+    "c1": Family(None, "sandwich_c1", "comparison_bound",
+                 partial(_closed_cells, which="c1")),
+    "c3": Family("sandwich_c3", None, "comparison_bound", _c3_cells),
+    "c6": Family(None, "sandwich_c6", "comparison_bound",
+                 partial(_closed_cells, which="c6")),
+}
+
+RISING = {name: family.rising for name, family in FAMILY_TABLE.items()
+          if family.rising is not None}
+
+
+# ---------------------------------------------------------------------------
 # property suite
-
-# Each swept family's shape in each of its depths k and l: rising (True)
-# is nondecreasing and concave, falling (False) nonincreasing and convex.
-RISING = {"frechet": True, "gumbel": False, "chung": False}
-
 
 def _pair(x: Fraction) -> bnd.Pair:
     return x.numerator, x.denominator
@@ -215,14 +292,16 @@ class _Trial:
     """One trial's instance and the exact data its properties share: the
     pmf (for an event system, its counting pmf) as integer `weights` over
     `total`, the lcm of its denominators, and, each built on first use, the
-    integer suffix sums `tails` over `total`, the moment grid of that pmf
-    and its tail table."""
+    integer suffix sums `tails` over `total`, the moment grid of that pmf,
+    its tail table and the bounds of each swept family of
+    `FAMILY_TABLE`."""
 
     def __init__(self, instance: Union[JointPMF, EventSystem]):
         is_es = isinstance(instance, EventSystem)
         self.es = instance if is_es else None
         self.pmf = model.counting_pmf(instance) if is_es else instance
         self.weights, self.total = _over_lcm(self.pmf.p)
+        self._bounds: Dict[str, list] = {}
 
     @cached_property
     def tails(self) -> List[List[int]]:
@@ -232,13 +311,6 @@ class _Trial:
         """P(S>=u, T>=v) as a pair."""
         return self.tails[u][v], self.total
 
-    def targets(self) -> Iterable[Tuple[int, int, bnd.Pair]]:
-        """(s, t, P(S>=s, T>=t) as a pair) for every 1 <= s <= m and
-        1 <= t <= n, row by row."""
-        for s in range(1, self.pmf.m + 1):
-            for t in range(1, self.pmf.n + 1):
-                yield s, t, self.tail(s, t)
-
     @cached_property
     def mm(self) -> model.MomentMatrix:
         return model.moments_from_pmf(self.pmf)
@@ -247,6 +319,21 @@ class _Trial:
     def tt(self) -> TailTable:
         return TailTable.from_ints(self.pmf.m, self.pmf.n, self.tails,
                                    self.total)
+
+    def bounds(self, name: str) -> Iterable[tuple]:
+        """The cells of the family `name` of `FAMILY_TABLE`, with its `bounds`
+        function as bound when they are first read, so a rebound module
+        attribute is the one checked.  A swept family's are kept for the
+        trial, since its shape property reads them too; any other's are
+        made as they are read."""
+        if name in self._bounds:
+            return self._bounds[name]
+        family = FAMILY_TABLE[name]
+        cells = family.cells(self.mm, getattr(bnd, family.call))
+        if family.rising is None:
+            return cells
+        found = self._bounds[name] = list(cells)
+        return found
 
 
 # A check is (_EQ or _LE, property id, params, lhs, rhs) on integer pairs:
@@ -277,15 +364,15 @@ def _second_difference(x: bnd.Pair, y: bnd.Pair,
     return a * d * f - 2 * c * b * f + e * b * d, b * d * f
 
 
-def check_shape(family: str, grid: bnd.PairGrid, first: Tuple[int, int],
-                fixed: Dict[str, int],
-                then: Optional[Callable[[Dict[str, int]], Iterable[Check]]]
+def check_shape(family: str, grid: bnd.PairGrid,
+                params: List[List[Dict[str, int]]],
+                then: Optional[Callable[..., Iterable[Check]]] = None
                 ) -> Iterator[Check]:
     """Yield the checks of the shape `RISING` states for a swept family on
-    grid[i][j], the pair of its bound at depth (k, l) = (first[0] + i,
-    first[1] + j), with params `fixed` plus k and l.  At each cell, in
+    grid[i][j], the pair of its bound at params[i][j], whose depth (k, l)
+    is one more in k at i + 1 and one more in l at j + 1.  At each cell, in
     order: monotone in k, monotone in l, curvature in k, curvature in l,
-    then the checks of `then(params)` if given."""
+    then the checks of `then(i, j, params[i][j])` if given."""
     rising = RISING[family]
 
     def le(prop, p, lhs, rhs):
@@ -294,11 +381,9 @@ def check_shape(family: str, grid: bnd.PairGrid, first: Tuple[int, int],
     bend = "concave" if rising else "convex"
     mono_k, mono_l = f"{family}_monotone_k", f"{family}_monotone_l"
     bend_k, bend_l = f"{family}_{bend}_k", f"{family}_{bend}_l"
-    k0, l0 = first
     rows, cols = len(grid), len(grid[0])
-    for i, row in enumerate(grid):
-        for j, x in enumerate(row):
-            p = {**fixed, "k": k0 + i, "l": l0 + j}
+    for i, (row, prow) in enumerate(zip(grid, params)):
+        for j, (x, p) in enumerate(zip(row, prow)):
             if i + 1 < rows:
                 yield le(mono_k, p, x, grid[i + 1][j])
             if j + 1 < cols:
@@ -310,14 +395,18 @@ def check_shape(family: str, grid: bnd.PairGrid, first: Tuple[int, int],
                 yield le(bend_l, p,
                          _second_difference(x, row[j + 1], row[j + 2]), (0, 1))
             if then is not None:
-                yield from then(p)
+                yield from then(i, j, p)
 
 
 def shape_failures(family: str, grid: bnd.PairGrid,
                    first: Tuple[int, int]) -> List[Failure]:
-    """The shape checks of `check_shape` that grid fails, with no spec."""
+    """The shape checks of `check_shape` that grid fails, with no spec, for
+    grid[i][j] at depth (k, l) = (first[0] + i, first[1] + j)."""
+    k0, l0 = first
+    params = [[{"k": k, "l": l} for l in range(l0, l0 + len(grid[0]))]
+              for k in range(k0, k0 + len(grid))]
     failures: List[Failure] = []
-    _record(None, check_shape(family, grid, first, {}, None), failures)
+    _record(None, check_shape(family, grid, params), failures)
     return failures
 
 
@@ -418,93 +507,53 @@ def _prop_gumbel_identity(trial: _Trial) -> Iterator[Check]:
                    _pair(sums.s[k][l]), _pair(mm.s[k][l]))
 
 
-def _prop_sandwich_bonferroni(trial: _Trial) -> Iterator[Check]:
-    pmf, mm = trial.pmf, trial.mm
-    for u, v, tail in trial.targets():
-        kmax = (pmf.m + pmf.n - u - v) // 2 + 1
-        for k in range(kmax + 1):
-            lo, up = bnd.bonferroni_pair(mm, u, v, k)
-            p = {"u": u, "v": v, "k": k}
-            yield _LE, "sandwich_bonferroni_lower", p, lo.pair, tail
-            yield _LE, "sandwich_bonferroni_upper", p, tail, up.pair
+def _sandwich(trial: _Trial, name: str,
+              upper: Optional[str] = None) -> Iterator[Check]:
+    """Each defined bound of the family `name` on its side of the exact tail
+    at its target, cell by cell, the lower first.  Given `upper`, a family
+    with the same cells, the upper bounds are its own, read in lockstep."""
+    below, above = FAMILY_TABLE[name], FAMILY_TABLE[upper or name]
+    found = trial.bounds(name)  # read once: it may be made as it is read
+    both = (zip(found, trial.bounds(upper)) if upper
+            else ((here, here) for here in found))
+    for (target, _, params, lows), (*_, ups) in both:
+        tail = trial.tail(*target)
+        for p, lo, up in zip(params, lows[0] if below.lower else _UNBOUNDED,
+                             ups[-1] if above.upper else _UNBOUNDED):
+            if lo[1]:  # an undefined bound has no side to check
+                yield _LE, below.lower, p, lo, tail
+            if up[1]:
+                yield _LE, above.upper, p, tail, up
 
 
-def _prop_sandwich_frechet_gumbel(trial: _Trial) -> Iterator[Check]:
-    pmf, mm = trial.pmf, trial.mm
-    tail = trial.tail(1, 1)
-    for k in range(1, pmf.m + 1):
-        for l in range(1, pmf.n + 1):
-            p = {"k": k, "l": l}
-            yield (_LE, "sandwich_frechet", p,
-                   bnd.frechet_lower(mm, k, l).pair, tail)
-            yield (_LE, "sandwich_gumbel", p, tail,
-                   bnd.gumbel_upper(mm, k, l).pair)
+_UNBOUNDED = repeat((0, 0))  # undefined at every cell: the side not bounded
 
 
-def _prop_sandwich_type(trial: _Trial) -> Iterator[Check]:
-    pmf, mm = trial.pmf, trial.mm
-    for s, t, tail in trial.targets():
-        for k in range(1, pmf.m + 1):
-            for l in range(1, pmf.n + 1):
-                lo, up = bnd.frechet_gumbel_type(mm, s, t, k, l)
-                p = {"s": s, "t": t, "k": k, "l": l}
-                if lo.defined:
-                    yield _LE, "sandwich_frechet_type", p, lo.pair, tail
-                if up.defined:
-                    yield _LE, "sandwich_gumbel_type", p, tail, up.pair
+def _shape(trial: _Trial, name: str) -> Iterator[Check]:
+    """The shape checks of a swept family at each target; at each Chung
+    cell they end with its recursion in s."""
+    m, n = trial.pmf.m, trial.pmf.n
+    grids = [(target, _rows(params, cols), _rows(pairs, cols))
+             for target, cols, params, (pairs,) in trial.bounds(name)]
+    for at, ((s, _), params, grid) in enumerate(grids):
+        then = None
+        if name == "chung" and s < m:  # grids[at + n] is at (s + 1, t)
+            then = partial(_chung_recursion, m, s, grid, grids[at + n][2])
+        yield from check_shape(name, grid, params, then)
 
 
-def _prop_sandwich_chung(trial: _Trial) -> Iterator[Check]:
-    pmf, mm = trial.pmf, trial.mm
-    for s, t, tail in trial.targets():
-        for k in range(s, pmf.m + 1):
-            for l in range(t, pmf.n + 1):
-                yield (_LE, "sandwich_chung", {"s": s, "t": t, "k": k, "l": l},
-                       tail, bnd.chung_bound(mm, s, t, k, l).pair)
+def _rows(cells: list, cols: int) -> list:
+    return [cells[c:c + cols] for c in range(0, len(cells), cols)]
 
 
-def _prop_sandwich_comparison(trial: _Trial) -> Iterator[Check]:
-    pmf = trial.pmf
-    if pmf.m < 2 or pmf.n < 2:
-        return
-    mm = trial.mm
-    tail = trial.tail(1, 1)
-    yield _LE, "sandwich_c1", {}, tail, bnd.comparison_bound(mm, "c1").pair
-    yield _LE, "sandwich_c6", {}, tail, bnd.comparison_bound(mm, "c6").pair
-    a_lo = max(1, -(-(pmf.m - 1) // 2))  # smallest a with m - 2a - 1 <= 0
-    b_lo = max(1, -(-(pmf.n - 1) // 2))
-    for a in range(a_lo, pmf.m + 1):
-        for b in range(b_lo, pmf.n + 1):
-            yield (_LE, "sandwich_c3", {"a": a, "b": b},
-                   bnd.comparison_bound(mm, "c3", a, b).pair, tail)
-
-
-def _depth_shape(trial: _Trial, family: str, bound) -> Iterator[Check]:
-    pmf, mm = trial.pmf, trial.mm
-    grid = [[bound(mm, k, l).pair for l in range(1, pmf.n + 1)]
-            for k in range(1, pmf.m + 1)]
-    return check_shape(family, grid, (1, 1), {}, None)
-
-
-def _prop_chung_shape(trial: _Trial) -> Iterator[Check]:
-    pmf, mm = trial.pmf, trial.mm
-    m, n = pmf.m, pmf.n
-    for s in range(1, m + 1):
-        for t in range(1, n + 1):
-            a = [[bnd.chung_bound(mm, s, t, k, l).pair
-                  for l in range(t, n + 1)] for k in range(s, m + 1)]
-
-            def recursion(p):  # run at once, for this s, t and a
-                # a(k, l) - a(k+1, l) = s/(m-s) a_{s+1}(k+1, l)
-                k, l = p["k"], p["l"]
-                if k < m:
-                    (x, y), (z, w) = a[k - s][l - t], a[k - s + 1][l - t]
-                    e, f = bnd.chung_bound(mm, s + 1, t, k + 1, l).pair
-                    yield (_EQ, "chung_recursion", p, (x * w - z * y, y * w),
-                           (s * e, (m - s) * f))
-
-            yield from check_shape("chung", a, (s, t), {"s": s, "t": t},
-                                   recursion)
+def _chung_recursion(m: int, s: int, a: bnd.PairGrid, after: bnd.PairGrid,
+                     i: int, j: int, p: Dict[str, int]) -> Iterator[Check]:
+    """a(k, l) - a(k+1, l) = s/(m-s) a_{s+1}(k+1, l) at a[i][j], Chung at
+    (s, t), for k < m: after[i][j] is a_{s+1}(k+1, l), at (s + 1, t)."""
+    if i + 1 < len(a):
+        (x, y), (z, w), (e, f) = a[i][j], a[i + 1][j], after[i][j]
+        yield (_EQ, "chung_recursion", p, (x * w - z * y, y * w),
+               (s * e, (m - s) * f))
 
 
 def _prop_anchors(trial: _Trial) -> Iterator[Check]:
@@ -514,7 +563,8 @@ def _prop_anchors(trial: _Trial) -> Iterator[Check]:
            bnd.frechet_lower(mm, m, n).pair, trial.tail(1, 1))
     yield (_EQ, "anchor_gumbel_11", {"k": 1, "l": 1},
            bnd.gumbel_upper(mm, 1, 1).pair, _pair(mm.s[1][1]))
-    for s, t, tail in trial.targets():
+    for s, t in _targets(m, n):
+        tail = trial.tail(s, t)
         yield (_EQ, "anchor_chung_full", {"s": s, "t": t},
                bnd.chung_bound(mm, s, t, m, n).pair, tail)
         k_full = (m + n - s - t) // 2 + 1
@@ -528,8 +578,7 @@ def _prop_anchors(trial: _Trial) -> Iterator[Check]:
                bnd.frechet_lower(mm, 2, 2).pair)
 
 
-# Every property, in the default run order.  The shape entries look their
-# bound up when called, so a rebound module attribute is the one checked.
+# Every property, in the default run order.
 _PROPERTIES: Dict[str, Callable[[_Trial], Iterable[Check]]] = {
     "gumbel_identity": _prop_gumbel_identity,
     "theorem1_roundtrip": _prop_theorem1_roundtrip,
@@ -538,16 +587,17 @@ _PROPERTIES: Dict[str, Callable[[_Trial], Iterable[Check]]] = {
     "event_roundtrip": _prop_event_roundtrip,
     "moment_bounds": _prop_moment_bounds,
     "complementary_expansion": _prop_complementary_expansion,
-    "sandwich_bonferroni": _prop_sandwich_bonferroni,
-    "sandwich_frechet_gumbel": _prop_sandwich_frechet_gumbel,
-    "sandwich_type": _prop_sandwich_type,
-    "sandwich_chung": _prop_sandwich_chung,
-    "sandwich_comparison": _prop_sandwich_comparison,
-    "frechet_shape": lambda trial: _depth_shape(trial, "frechet",
-                                                bnd.frechet_lower),
-    "gumbel_shape": lambda trial: _depth_shape(trial, "gumbel",
-                                               bnd.gumbel_upper),
-    "chung_shape": _prop_chung_shape,
+    "sandwich_bonferroni": lambda trial: _sandwich(trial, "bonferroni"),
+    "sandwich_frechet_gumbel": lambda trial: _sandwich(trial, "frechet",
+                                                       upper="gumbel"),
+    "sandwich_type": lambda trial: _sandwich(trial, "type"),
+    "sandwich_chung": lambda trial: _sandwich(trial, "chung"),
+    "sandwich_comparison": lambda trial: chain(
+        _sandwich(trial, "c1"), _sandwich(trial, "c6"),
+        _sandwich(trial, "c3")),
+    "frechet_shape": lambda trial: _shape(trial, "frechet"),
+    "gumbel_shape": lambda trial: _shape(trial, "gumbel"),
+    "chung_shape": lambda trial: _shape(trial, "chung"),
     "anchors": _prop_anchors,
 }
 

@@ -26,7 +26,7 @@ from bvbounds import (
     tails_from_moments,
 )
 from bvbounds.cli import load_instance
-from bvbounds.model import SUBSET_CHECK_LIMIT
+from bvbounds.model import SUBSET_CHECK_LIMIT, RationalGrid
 from bvbounds.transforms import pmf_grid_from_moments
 from test_kernel import count_products
 
@@ -305,14 +305,21 @@ class TestHeldGrids:
             assert grid(fresh) == held
             assert len(calls) == 1
 
-    def test_repr_names_the_view(self):
+    def test_repr_round_trips(self):
+        # repr is the constructor call, its cells positional: eval of it
+        # rebuilds an equal grid of the same kind, for all four kinds
         pmf = JointPMF(1, 1, self.PMF)
         mm = moments_from_pmf(pmf)
+        names = {"Fraction": Fraction, "JointPMF": JointPMF,
+                 "MomentMatrix": MomentMatrix, "TailTable": TailTable,
+                 "RationalGrid": RationalGrid}
         for grid, view in ((pmf, "p"), (mm, "s"),
                            (tail_table_from_moments(mm), "q"),
                            (pmf_grid_from_moments(mm), "cells")):
-            assert repr(grid) == (f"{type(grid).__name__}(m=1, n=1, "
-                                  f"{view}={getattr(grid, view)!r})")
+            assert repr(grid) == (f"{type(grid).__name__}(1, 1, "
+                                  f"{getattr(grid, view)!r})")
+            back = eval(repr(grid), names)
+            assert type(back) is type(grid) and back == grid
 
     def test_grids_are_frozen(self):
         mm = MomentMatrix(1, 1, [[1, 0], [0, 0]])

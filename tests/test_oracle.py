@@ -294,6 +294,34 @@ class TestValidate:
         assert list(report.checks.items()) == list(golden.items())
         assert report.trials == 60 and report.ok
 
+    def test_each_bound_is_called_once_per_cell(self, monkeypatch):
+        # a family's sandwich and shape properties share one call per cell,
+        # Chung's recursion included (the anchors make calls of their own)
+        import bvbounds.bounds as bounds_mod
+
+        calls = dict.fromkeys(["frechet_gumbel_type", "chung_bound",
+                               "bonferroni_pair", "frechet_lower",
+                               "gumbel_upper", "comparison_bound"], 0)
+        for name in calls:
+            def counted(*args, real=getattr(bounds_mod, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(bounds_mod, name, counted)
+        m, n = 3, 4
+        report = validate([InstanceSpec(5, m, n)],
+                          [p for p in ALL_PROPERTIES if p != "anchors"])
+        assert report.ok
+        targets = list(product(range(1, m + 1), range(1, n + 1)))
+        assert calls == {
+            "frechet_gumbel_type": len(targets) * m * n,
+            "chung_bound": sum((m - s + 1) * (n - t + 1) for s, t in targets),
+            "bonferroni_pair": sum((m + n - s - t) // 2 + 2
+                                   for s, t in targets),
+            "frechet_lower": m * n,
+            "gumbel_upper": m * n,
+            "comparison_bound": 2 + 3 * 3,  # c1, c6, c3 at a = 1..3, b = 2..4
+        }
+
     def test_repeated_property_runs_once(self, monkeypatch):
         # the same checks and failures with and without a repeated id
         assert validate([InstanceSpec(1, 3, 3)], ["anchors", "anchors"]

@@ -196,9 +196,23 @@ def test_bound_flags_are_the_family_parameters():
 
 
 def test_rising_families_are_two_depth_tables():
+    # The oracle's table names the families of `bound --family` in order,
+    # each with its parameters in order, read off its first cell at
+    # m = n = 3, where it holds the bounds the catalogue gives there.
+    mm = moments_from_pmf(JointPMF(3, 3, [[Fraction(1, 16)] * 4] * 4))
+    named = {}
+    for name, family in oracle.FAMILY_TABLE.items():
+        _, _, params, sides = next(family.cells(mm, getattr(bounds_mod,
+                                                            family.call)))
+        named[name] = tuple(params[0])
+        _, evaluate = bounds_mod.FAMILIES[name]
+        assert [pairs[0] for pairs in sides] == [
+            b.pair for b in evaluate(mm, *params[0].values())]
+    assert list(named.items()) == [(name, params) for name, (params, _)
+                                   in bounds_mod.FAMILIES.items()]
+    assert oracle.RISING == {"frechet": True, "gumbel": False, "chung": False}
     tables = bounds_mod.tables(MM2, 1, 1)
     for family in oracle.RISING:
-        assert family in bounds_mod.FAMILIES
         assert [len(t.first) for t in tables if family in t.labels] == [2]
 
 
