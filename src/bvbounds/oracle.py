@@ -19,10 +19,11 @@ builds a `Failure` only for a check that fails.
 and upper bounds, its `bounds` function, its cells at (m, n) and its
 shape in the depths (`RISING`).  A trial calls each family's function
 once per cell, on first use (never a sweep, `bounds.tables` or
-`bounds.compare_rows`), and two generators read those bounds: `_sandwich`
-puts each on its side of the exact tail, and `_shape` runs `check_shape`
-on each target's grid, which `shape_failures` also records for the CLI's
-`sweep`.
+`bounds.compare_rows`), and keeps the cells for the trial.  Every check of
+a bound reads them: `_sandwich` puts each on its side of the exact tail,
+`_shape` runs `check_shape` on each target's grid, which `shape_failures`
+also records for the CLI's `sweep`, and the anchors read the cells where a
+bound is exact.
 """
 
 from __future__ import annotations
@@ -293,8 +294,7 @@ class _Trial:
     pmf (for an event system, its counting pmf) as integer `weights` over
     `total`, the lcm of its denominators, and, each built on first use, the
     integer suffix sums `tails` over `total`, the moment grid of that pmf,
-    its tail table and the bounds of each swept family of
-    `FAMILY_TABLE`."""
+    its tail table and the cells of each family of `FAMILY_TABLE`."""
 
     def __init__(self, instance: Union[JointPMF, EventSystem]):
         is_es = isinstance(instance, EventSystem)
@@ -320,19 +320,15 @@ class _Trial:
         return TailTable.from_ints(self.pmf.m, self.pmf.n, self.tails,
                                    self.total)
 
-    def bounds(self, name: str) -> Iterable[tuple]:
-        """The cells of the family `name` of `FAMILY_TABLE`, with its `bounds`
-        function as bound when they are first read, so a rebound module
-        attribute is the one checked.  A swept family's are kept for the
-        trial, since its shape property reads them too; any other's are
-        made as they are read."""
-        if name in self._bounds:
-            return self._bounds[name]
-        family = FAMILY_TABLE[name]
-        cells = family.cells(self.mm, getattr(bnd, family.call))
-        if family.rising is None:
-            return cells
-        found = self._bounds[name] = list(cells)
+    def bounds(self, name: str) -> List[tuple]:
+        """The cells of the family `name` of `FAMILY_TABLE`, made on first
+        read, with its `bounds` function as bound then, so a rebound module
+        attribute is the one checked, and kept for the trial."""
+        found = self._bounds.get(name)
+        if found is None:
+            family = FAMILY_TABLE[name]
+            found = self._bounds[name] = list(
+                family.cells(self.mm, getattr(bnd, family.call)))
         return found
 
 
@@ -512,11 +508,10 @@ def _sandwich(trial: _Trial, name: str,
     """Each defined bound of the family `name` on its side of the exact tail
     at its target, cell by cell, the lower first.  Given `upper`, a family
     with the same cells, the upper bounds are its own, read in lockstep."""
-    below, above = FAMILY_TABLE[name], FAMILY_TABLE[upper or name]
-    found = trial.bounds(name)  # read once: it may be made as it is read
-    both = (zip(found, trial.bounds(upper)) if upper
-            else ((here, here) for here in found))
-    for (target, _, params, lows), (*_, ups) in both:
+    upper = upper or name
+    below, above = FAMILY_TABLE[name], FAMILY_TABLE[upper]
+    for (target, _, params, lows), (*_, ups) in zip(trial.bounds(name),
+                                                     trial.bounds(upper)):
         tail = trial.tail(*target)
         for p, lo, up in zip(params, lows[0] if below.lower else _UNBOUNDED,
                              ups[-1] if above.upper else _UNBOUNDED):
@@ -557,25 +552,28 @@ def _chung_recursion(m: int, s: int, a: bnd.PairGrid, after: bnd.PairGrid,
 
 
 def _prop_anchors(trial: _Trial) -> Iterator[Check]:
-    pmf, mm = trial.pmf, trial.mm
-    m, n = pmf.m, pmf.n
-    yield (_EQ, "anchor_frechet_full", {"k": m, "l": n},
-           bnd.frechet_lower(mm, m, n).pair, trial.tail(1, 1))
-    yield (_EQ, "anchor_gumbel_11", {"k": 1, "l": 1},
-           bnd.gumbel_upper(mm, 1, 1).pair, _pair(mm.s[1][1]))
-    for s, t in _targets(m, n):
+    """The bounds that equal the tail or a moment, read from their families'
+    cells (the last cell of a depth table is its deepest): full-depth Chung
+    and Bonferroni, Fréchet at (m, n), Gumbel at (1, 1) and c3 at (m-1, n-1)."""
+    m, n = trial.pmf.m, trial.pmf.n
+    [(_, _, _, (frechet,))] = trial.bounds("frechet")
+    [(_, _, _, (gumbel,))] = trial.bounds("gumbel")
+    yield (_EQ, "anchor_frechet_full", {"k": m, "l": n}, frechet[-1],
+           trial.tail(1, 1))
+    yield (_EQ, "anchor_gumbel_11", {"k": 1, "l": 1}, gumbel[0],
+           _pair(trial.mm.s[1][1]))
+    for ((s, t), _, _, (chung,)), (*_, (lows, ups)) in zip(
+            trial.bounds("chung"), trial.bounds("bonferroni")):
         tail = trial.tail(s, t)
-        yield (_EQ, "anchor_chung_full", {"s": s, "t": t},
-               bnd.chung_bound(mm, s, t, m, n).pair, tail)
-        k_full = (m + n - s - t) // 2 + 1
-        lo, up = bnd.bonferroni_pair(mm, s, t, k_full)
         p = {"s": s, "t": t}
-        yield _EQ, "anchor_bonferroni_full_lower", p, lo.pair, tail
-        yield _EQ, "anchor_bonferroni_full_upper", p, up.pair, tail
-    if m >= 2 and n >= 2:
-        yield (_EQ, "anchor_c4", {"a": m - 1, "b": n - 1},
-               bnd.comparison_bound(mm, "c3", m - 1, n - 1).pair,
-               bnd.frechet_lower(mm, 2, 2).pair)
+        yield _EQ, "anchor_chung_full", p, chung[-1], tail
+        yield _EQ, "anchor_bonferroni_full_lower", p, lows[-1], tail
+        yield _EQ, "anchor_bonferroni_full_upper", p, ups[-1], tail
+    for _, cols, _, (c3,) in trial.bounds("c3"):  # none unless m, n >= 2
+        # (m-1, n-1) is a row and a column before c3's last cell, and (2, 2)
+        # a row and a column after Fréchet's first
+        yield (_EQ, "anchor_c4", {"a": m - 1, "b": n - 1}, c3[-cols - 2],
+               frechet[n + 1])
 
 
 # Every property, in the default run order.

@@ -295,8 +295,8 @@ class TestValidate:
         assert report.trials == 60 and report.ok
 
     def test_each_bound_is_called_once_per_cell(self, monkeypatch):
-        # a family's sandwich and shape properties share one call per cell,
-        # Chung's recursion included (the anchors make calls of their own)
+        # a family's sandwich, shape and anchor checks share one call per
+        # cell, Chung's recursion included
         import bvbounds.bounds as bounds_mod
 
         calls = dict.fromkeys(["frechet_gumbel_type", "chung_bound",
@@ -308,8 +308,7 @@ class TestValidate:
                 return real(*args)
             monkeypatch.setattr(bounds_mod, name, counted)
         m, n = 3, 4
-        report = validate([InstanceSpec(5, m, n)],
-                          [p for p in ALL_PROPERTIES if p != "anchors"])
+        report = validate([InstanceSpec(5, m, n)], ALL_PROPERTIES)
         assert report.ok
         targets = list(product(range(1, m + 1), range(1, n + 1)))
         assert calls == {
