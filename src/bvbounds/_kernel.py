@@ -5,12 +5,26 @@ x -> x + 1 or x - 1 along each axis of the grid, possibly after a diagonal
 integer scaling and a reversal, or a ratio of such a map and a product of
 binomial coefficients.  The one scaling, of the Chung numerators, is the
 tail inversion's row `tail_weights`, which the Bonferroni cuts read too.
-The shift runs by the Pascal rule on whole rows: for i in 0..m-1 and j
-from m-1 down to i, row j becomes row j plus (or minus) row j+1.  That is
-m(m+1)/2 row additions along the first axis and, after one transpose,
-n(n+1)/2 along the second, and no multiplication outside the scaling.  It
-runs on a grid's integer numerators (`model.RationalGrid.nums`), and its
-ints are read over the grid's denominator `den`.
+An axis map is data, an `Axis`, and `shift_grid` runs any pair of them on
+a grid's integer numerators (`model.RationalGrid.nums`), whose ints are
+read over the grid's denominator `den`.
+
+The shift is two Horner passes on packed integers.  With a lane width of W
+bits and Y = 2^W, Horner's rule at Y + 1 (or Y - 1) over the entries of a
+row, `acc = (acc << W) + acc + x`, yields one int whose W-bit lanes, lowest
+first, are the row's shifted entries, since p(Y + 1) = sum_i q_i Y^i when
+q is p shifted by +1.  Horner's rule at X + 1 (or X - 1), X = Y^c for c
+lanes a row, over those ints then shifts the rows, and the result holds
+every output entry in a lane of its own.  It is decoded once: adding
+2^(W-1) to every lane makes each lane's digit nonnegative, `to_bytes`
+splits the lanes, and each is read back with `from_bytes` less 2^(W-1);
+big-endian bytes read the lanes last first, which is how a reversed map
+is read.  The lanes are exact when every output has |out| < 2^(W-1).  A map
+along an axis of extent e multiplies the largest |entry| by less than its
+largest |weight| times 2^(e+1), a bound on the sum of the binomials of a
+shift, so W is the bit length of the largest |entry|, plus e + 2 plus the
+bit length of the largest |weight| (0 unweighted) for each axis, plus one
+sign bit, rounded up to whole bytes.
 
 A product read more than once is memoised once per grid, in one form, by
 the `memoised` decorator: `fn(grid, *args)` is held under the key
@@ -21,10 +35,13 @@ brute-force oracle must not use this module: it checks the kernel.
 
 from __future__ import annotations
 
-from functools import partial, wraps
+from functools import wraps
+from itertools import chain, repeat
 from math import comb
-from operator import add, sub
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from operator import mul, sub
+from struct import unpack
+from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
+                    TypeVar)
 
 IntGrid = List[List[int]]
 F = TypeVar("F", bound=Callable)
@@ -50,15 +67,21 @@ def memoised(fn: F) -> F:
     return held
 
 
-def _pascal(lines: list, op, first: int = 0) -> list:
-    """lines, in place, Taylor-shifted by +1 (op = add) or -1 (op = sub)
-    from index `first` on, the lines before it passed through: [i] = sum
-    over j >= i of (+-1)^(j-i) C(j-first, i-first) lines[j] for i >= first."""
-    last = len(lines) - 1
-    for i in range(first, last):
-        for j in range(last - 1, i - 1, -1):
-            lines[j] = list(map(op, lines[j], lines[j + 1]))
-    return lines
+class Axis(NamedTuple):
+    """A map along one axis of a line x[0..e], on its L = e + 1 - first
+    entries from `first` on times w = `weights` (all 1 if None): for
+    0 <= r < L, y[r] = sum over r <= k < L of sign^(k-r) C(k, r) w[k]
+    x[first+k], their Taylor shift by `sign`, or with `reverse`, y[r] = sum
+    over 0 <= k <= r of sign^(r-k) C(L-1-k, r-k) w[k] x[first+k], the shift
+    of the entries in reverse order read in reverse order.  The map's line
+    is y, after x[0..first-1] if `keep_head`, which a reversed map must
+    not set."""
+
+    sign: int
+    first: int
+    keep_head: bool
+    weights: Optional[Tuple[int, ...]]
+    reverse: bool
 
 
 # The maps along one axis, by which the inversions are memoised: binomial
@@ -66,10 +89,70 @@ def _pascal(lines: list, op, first: int = 0) -> list:
 # sum_i (-1)^(i-u) C(i, u) x[i]; the upper-orthant tails from them, [u] =
 # sum_i (-1)^(i-u) C(i-1, u-1) x[i] for u >= 1; and back, [i] = sum_u
 # C(u-1, i-1) x[u] for i >= 1.  Both tail maps pass [0] through.
-moments_axis = partial(_pascal, op=add)
-pmf_axis = partial(_pascal, op=sub)
-tails_axis = partial(_pascal, op=sub, first=1)
-tails_inverse_axis = partial(_pascal, op=add, first=1)
+moments_axis = Axis(1, 0, True, None, False)
+pmf_axis = Axis(-1, 0, True, None, False)
+tails_axis = Axis(-1, 1, True, None, False)
+tails_inverse_axis = Axis(1, 1, True, None, False)
+
+
+def _growth(axis: Axis, extent: int) -> int:
+    """Bits by which `axis` on a line of extent `extent` can grow an entry:
+    extent + 2 + the bit length of its largest |weight|."""
+    _, _, _, weights, _ = axis
+    return extent + 2 + (max(map(abs, weights)).bit_length() if weights
+                         else 0)
+
+
+def _pack(lines: Sequence[Sequence[int]], axis: Axis,
+          width: int) -> List[int]:
+    """[r] = sum over k of lane[k] 2^(width k), whose lanes are `axis` of
+    lines[r]: the kept head first, or a reversed map's output in reverse
+    order."""
+    sign, first, keep_head, weights, reverse = axis
+    packed = []
+    for line in lines:
+        tail = line[first:]
+        if weights:
+            tail = list(map(mul, weights, tail))
+        acc = 0
+        if sign > 0:
+            for x in (tail if reverse else reversed(tail)):
+                acc = (acc << width) + acc + x
+        else:
+            for x in (tail if reverse else reversed(tail)):
+                acc = (acc << width) - acc + x
+        if keep_head and first:
+            for x in reversed(line[:first]):
+                acc = (acc << width) + x
+        packed.append(acc)
+    return packed
+
+
+def shift_grid(nums: Sequence[Sequence[int]], rows: Axis,
+               cols: Axis) -> IntGrid:
+    """nums with the axis map `rows` applied to its list of rows, and
+    `cols` to its list of columns."""
+    growth = _growth(rows, len(nums) - 1) + _growth(cols, len(nums[0]) - 1)
+    # the rows that the row map drops are not packed
+    skip = 0 if rows.keep_head else rows.first
+    kept = nums[skip:]
+    bits = max(map(int.bit_length, chain.from_iterable(kept))) + growth + 1
+    size = -(-bits // 8)
+    width = 8 * size
+    per_row = len(nums[0]) - (0 if cols.keep_head else cols.first)
+    lanes = per_row * len(kept)
+    total, = _pack([[0] * skip + _pack(kept, cols, width)], rows,
+                   width * per_row)
+    half = 1 << width - 1
+    offset = int.from_bytes(half.to_bytes(size, "little") * lanes, "little")
+    # big-endian bytes read the lanes last first, reversing both axes
+    order = "big" if rows.reverse else "little"
+    values = map(sub, map(int.from_bytes, unpack(
+        f"{size}s" * lanes, (total + offset).to_bytes(size * lanes, order)),
+        repeat(order)), repeat(half))
+    grid = map(list, zip(*[values] * per_row))  # runs of per_row lanes
+    return ([row[::-1] for row in grid] if rows.reverse != cols.reverse
+            else list(grid))
 
 
 def tail_weights(m: int, s: int) -> List[int]:
@@ -79,34 +162,18 @@ def tail_weights(m: int, s: int) -> List[int]:
             for i in range(m + 1)]
 
 
-def _chung_axis(lines: list, s: int) -> list:
-    """[k-s] = sum over s <= i <= k of tail_weights(m, s)[i] C(m-i, k-i)
-    lines[i] for s <= k <= m = len(lines) - 1: the Chung numerator weights
-    of target s.  Since C(m-i, k-i) = C(m-i, m-k), this is the shift by +1
-    of the scaled entries in reverse order, read in reverse order."""
-    weights = tail_weights(len(lines) - 1, s)[s:]
-    scaled = [[w * x for x in line] for w, line in zip(weights, lines[s:])]
-    return _pascal(scaled[::-1], add)[::-1]
-
-
-def shift_grid(nums: Sequence[Sequence[int]], along_rows: Callable,
-               along_cols: Callable) -> IntGrid:
-    """nums with the axis map `along_rows` applied to its list of rows, then
-    `along_cols` to its list of columns."""
-    half = along_rows(list(nums))
-    return list(map(list, zip(*along_cols(list(zip(*half))))))
-
-
 @memoised
 def chung_product(grid, s: int, t: int) -> Tuple[IntGrid, int]:
     """(numerators [k-s][l-t] = sum over s <= i <= k, t <= j <= l of
     (-1)^(i+j-s-t) C(i-1, s-1) C(m-i, k-i) C(j-1, t-1) C(n-j, l-j) s[i][j],
-    grid.den), once per (grid, s, t): the scaled and reversed shift by +1
-    of `_chung_axis` along each axis.  At (1, 1) it is also A . s . B^T of
-    the complementary moments, A[k][i] = (-1)^i C(m-i, k-i) and B likewise:
-    the signs cancel."""
-    return (shift_grid(grid.nums, partial(_chung_axis, s=s),
-                       partial(_chung_axis, s=t)), grid.den)
+    grid.den), once per (grid, s, t).  Since C(m-i, k-i) = C(m-i, m-k),
+    each axis is the shift by +1 of the entries from s on, scaled by
+    `tail_weights(m, s)`, in reverse order and read in reverse order.  At
+    (1, 1) it is also A . s . B^T of the complementary moments, A[k][i] =
+    (-1)^i C(m-i, k-i) and B likewise: the signs cancel."""
+    along_m = Axis(1, s, False, tuple(tail_weights(grid.m, s)[s:]), True)
+    along_n = Axis(1, t, False, tuple(tail_weights(grid.n, t)[t:]), True)
+    return shift_grid(grid.nums, along_m, along_n), grid.den
 
 
 def antidiagonal_prefix(nums: IntGrid, wa: Sequence[int],

@@ -13,10 +13,14 @@ univariate versions on the marginals, since P(S>=0, T>=v) = P(T>=v).
 Each of these maps is a Taylor shift x -> x - 1 or x + 1 along each axis
 (along indices 1.. for the tail pair, index 0 passed through), and the
 complementary moments read the Chung numerators at (1, 1), a shift by +1
-after a diagonal scaling and a reversal; the private `_kernel` module runs
-them on the grid's integer numerators by the Pascal rule.  Each inversion
-is memoised once per grid by `_kernel.memoised`, as a grid with its corner
-set, that the per-cell functions read one cell of after one memo probe.
+after a diagonal scaling and a reversal.  Each axis map is a
+`_kernel.Axis`, and the private `_kernel` module runs a pair of them on
+the grid's integer numerators as two Horner passes on packed integers:
+each row becomes one int of fixed-width lanes, the rows are then shifted
+as one int, and its lanes are decoded once.  Each inversion is memoised
+once per grid by `_kernel.memoised`, keyed by its axis map, as a grid with
+its corner set, that the per-cell functions read one cell of after one
+memo probe.
 Every per-cell read here and in `bounds` checks its indices by one call to
 `_check_cell`, a chained comparison that names the first index out of
 range.  The brute-force oracle never uses that kernel or that check, so

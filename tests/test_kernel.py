@@ -1,7 +1,8 @@
 """The integer separable kernel against the direct double sums it replaced
 and its Taylor shifts against the coefficient matrices they replaced
-(tests/reference.py), the CLI against golden output, and the oracle's
-independence from the kernel."""
+(tests/reference.py), on random grids and on grids whose outputs reach the
+bound of the kernel's lane width, the CLI against golden output, and the
+oracle's independence from the kernel."""
 
 import ast
 from fractions import Fraction
@@ -112,18 +113,42 @@ def int_grids(draw, lo=0):
     return draw(st.lists(row, min_size=m + 1, max_size=m + 1))
 
 
+AXIS_MAPS = ((moments_axis, ref.moments_map), (pmf_axis, ref.pmf_map),
+             (tails_axis, ref.tails_map),
+             (tails_inverse_axis, ref.tails_inverse_map))
+
+
 @kernel_settings
 @given(int_grids())
 def test_shifts_equal_the_coefficient_matrices(nums):
     m, n = len(nums) - 1, len(nums[0]) - 1
     before = [row[:] for row in nums]
-    for axis, matrix in ((moments_axis, ref.moments_map),
-                         (pmf_axis, ref.pmf_map),
-                         (tails_axis, ref.tails_map),
-                         (tails_inverse_axis, ref.tails_inverse_map)):
+    for axis, matrix in AXIS_MAPS:
         assert shift_grid(nums, axis, axis) == ref.matrix_product(
             matrix(m), nums, matrix(n))
     assert nums == before
+
+
+@pytest.mark.parametrize("big", [1, 2**61 - 1, 2**300],
+                         ids=["1", "2^61-1", "2^300"])
+@pytest.mark.parametrize("alternating", [False, True],
+                         ids=["flat", "alternating"])
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 1), (2, 2), (24, 24), (40, 40),
+                                  (0, 40), (40, 1), (2, 24)])
+def test_lanes_hold_the_largest_outputs(m, n, big, alternating):
+    # every entry B, or B (-1)^(i+j), so that the signs of the shift by
+    # -1 and of the Chung weights line up: each map's outputs then reach the
+    # size that the kernel's lane width is bounded for
+    nums = [[(-1) ** ((i + j) * alternating) * big for j in range(n + 1)]
+            for i in range(m + 1)]
+    for axis, matrix in AXIS_MAPS:
+        assert shift_grid(nums, axis, axis) == ref.matrix_product(
+            matrix(m), nums, matrix(n))
+    grid = MomentMatrix.from_ints(m, n, nums, 1)
+    for s, t in {(1, 1), (2, 3), (m, n)}:
+        if 1 <= s <= m and 1 <= t <= n:
+            assert chung_product(grid, s, t) == (ref.matrix_product(
+                ref.chung_map(m, s)[s:], nums, ref.chung_map(n, t)[t:]), 1)
 
 
 @kernel_settings
