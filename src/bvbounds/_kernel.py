@@ -4,7 +4,8 @@ Every map from the moment grid used by this package is a Taylor shift
 x -> x + 1 or x - 1 along each axis of the grid, possibly after a diagonal
 integer scaling and a reversal, or a ratio of such a map and a product of
 binomial coefficients.  The one scaling, of the Chung numerators, is the
-tail inversion's row `tail_weights`, which the Bonferroni cuts read too.
+tail inversion's row `tail_weights`, which the Bonferroni cuts read too;
+the Chung product reverses its target's sub-grid, and its result, itself.
 An axis map is data, an `Axis`, and `shift_grid` runs any pair of them on
 a grid's integer numerators (`model.RationalGrid.nums`), whose ints are
 read over the grid's denominator `den`.
@@ -17,9 +18,8 @@ q is p shifted by +1.  Horner's rule at X + 1 (or X - 1), X = Y^c for c
 lanes a row, over those ints then shifts the rows, and the result holds
 every output entry in a lane of its own.  It is decoded once: adding
 2^(W-1) to every lane makes each lane's digit nonnegative, `to_bytes`
-splits the lanes, and each is read back with `from_bytes` less 2^(W-1);
-big-endian bytes read the lanes last first, which is how a reversed map
-is read.  The lanes are exact when every output has |out| < 2^(W-1).  A map
+splits the lanes, and each is read back with `from_bytes` less 2^(W-1).
+The lanes are exact when every output has |out| < 2^(W-1).  A map
 along an axis of extent e multiplies the largest |entry| by less than its
 largest |weight| times 2^(e+1), a bound on the sum of the binomials of a
 shift, so W is the bit length of the largest |entry|, plus e + 2 plus the
@@ -71,17 +71,12 @@ class Axis(NamedTuple):
     """A map along one axis of a line x[0..e], on its L = e + 1 - first
     entries from `first` on times w = `weights` (all 1 if None): for
     0 <= r < L, y[r] = sum over r <= k < L of sign^(k-r) C(k, r) w[k]
-    x[first+k], their Taylor shift by `sign`, or with `reverse`, y[r] = sum
-    over 0 <= k <= r of sign^(r-k) C(L-1-k, r-k) w[k] x[first+k], the shift
-    of the entries in reverse order read in reverse order.  The map's line
-    is y, after x[0..first-1] if `keep_head`, which a reversed map must
-    not set."""
+    x[first+k], their Taylor shift by `sign`.  The map's line is
+    x[0..first-1] followed by y."""
 
     sign: int
     first: int
-    keep_head: bool
     weights: Optional[Tuple[int, ...]]
-    reverse: bool
 
 
 # The maps along one axis, by which the inversions are memoised: binomial
@@ -89,16 +84,16 @@ class Axis(NamedTuple):
 # sum_i (-1)^(i-u) C(i, u) x[i]; the upper-orthant tails from them, [u] =
 # sum_i (-1)^(i-u) C(i-1, u-1) x[i] for u >= 1; and back, [i] = sum_u
 # C(u-1, i-1) x[u] for i >= 1.  Both tail maps pass [0] through.
-moments_axis = Axis(1, 0, True, None, False)
-pmf_axis = Axis(-1, 0, True, None, False)
-tails_axis = Axis(-1, 1, True, None, False)
-tails_inverse_axis = Axis(1, 1, True, None, False)
+moments_axis = Axis(1, 0, None)
+pmf_axis = Axis(-1, 0, None)
+tails_axis = Axis(-1, 1, None)
+tails_inverse_axis = Axis(1, 1, None)
 
 
 def _growth(axis: Axis, extent: int) -> int:
     """Bits by which `axis` on a line of extent `extent` can grow an entry:
     extent + 2 + the bit length of its largest |weight|."""
-    _, _, _, weights, _ = axis
+    _, _, weights = axis
     return extent + 2 + (max(map(abs, weights)).bit_length() if weights
                          else 0)
 
@@ -106,9 +101,8 @@ def _growth(axis: Axis, extent: int) -> int:
 def _pack(lines: Sequence[Sequence[int]], axis: Axis,
           width: int) -> List[int]:
     """[r] = sum over k of lane[k] 2^(width k), whose lanes are `axis` of
-    lines[r]: the kept head first, or a reversed map's output in reverse
-    order."""
-    sign, first, keep_head, weights, reverse = axis
+    lines[r]."""
+    sign, first, weights = axis
     packed = []
     for line in lines:
         tail = line[first:]
@@ -116,12 +110,12 @@ def _pack(lines: Sequence[Sequence[int]], axis: Axis,
             tail = list(map(mul, weights, tail))
         acc = 0
         if sign > 0:
-            for x in (tail if reverse else reversed(tail)):
+            for x in reversed(tail):
                 acc = (acc << width) + acc + x
         else:
-            for x in (tail if reverse else reversed(tail)):
+            for x in reversed(tail):
                 acc = (acc << width) - acc + x
-        if keep_head and first:
+        if first:
             for x in reversed(line[:first]):
                 acc = (acc << width) + x
         packed.append(acc)
@@ -132,34 +126,25 @@ def shift_grid(nums: Sequence[Sequence[int]], rows: Axis,
                cols: Axis) -> IntGrid:
     """nums with the axis map `rows` applied to its list of rows, and
     `cols` to its list of columns."""
-    growth = _growth(rows, len(nums) - 1) + _growth(cols, len(nums[0]) - 1)
-    # the rows that the row map drops are not packed
-    skip = 0 if rows.keep_head else rows.first
-    kept = nums[skip:]
-    bits = max(map(int.bit_length, chain.from_iterable(kept))) + growth + 1
+    per_row = len(nums[0])
+    growth = _growth(rows, len(nums) - 1) + _growth(cols, per_row - 1)
+    bits = max(map(int.bit_length, chain.from_iterable(nums))) + growth + 1
     size = -(-bits // 8)
     width = 8 * size
-    per_row = len(nums[0]) - (0 if cols.keep_head else cols.first)
-    lanes = per_row * len(kept)
-    total, = _pack([[0] * skip + _pack(kept, cols, width)], rows,
-                   width * per_row)
+    lanes = per_row * len(nums)
+    total, = _pack([_pack(nums, cols, width)], rows, width * per_row)
     half = 1 << width - 1
     offset = int.from_bytes(half.to_bytes(size, "little") * lanes, "little")
-    # big-endian bytes read the lanes last first, reversing both axes
-    order = "big" if rows.reverse else "little"
     values = map(sub, map(int.from_bytes, unpack(
-        f"{size}s" * lanes, (total + offset).to_bytes(size * lanes, order)),
-        repeat(order)), repeat(half))
-    grid = map(list, zip(*[values] * per_row))  # runs of per_row lanes
-    return ([row[::-1] for row in grid] if rows.reverse != cols.reverse
-            else list(grid))
+        f"{size}s" * lanes, (total + offset).to_bytes(size * lanes, "little")),
+        repeat("little")), repeat(half))
+    return list(map(list, zip(*[values] * per_row)))  # runs of per_row lanes
 
 
 def tail_weights(m: int, s: int) -> List[int]:
-    """[i] = (-1)^(i-s) C(i-1, s-1) for s <= i <= m, 0 below: the tail
-    inversion's row at s >= 1, read by the Bonferroni and Chung bounds."""
-    return [(-1) ** (i - s) * comb(i - 1, s - 1) if i >= s else 0
-            for i in range(m + 1)]
+    """[i-s] = (-1)^(i-s) C(i-1, s-1) for s <= i <= m: the tail inversion's
+    row at s >= 1 from s on, read by the Bonferroni and Chung bounds."""
+    return [(-1) ** (i - s) * comb(i - 1, s - 1) for i in range(s, m + 1)]
 
 
 @memoised
@@ -171,9 +156,11 @@ def chung_product(grid, s: int, t: int) -> Tuple[IntGrid, int]:
     `tail_weights(m, s)`, in reverse order and read in reverse order.  At
     (1, 1) it is also A . s . B^T of the complementary moments, A[k][i] =
     (-1)^i C(m-i, k-i) and B likewise: the signs cancel."""
-    along_m = Axis(1, s, False, tuple(tail_weights(grid.m, s)[s:]), True)
-    along_n = Axis(1, t, False, tuple(tail_weights(grid.n, t)[t:]), True)
-    return shift_grid(grid.nums, along_m, along_n), grid.den
+    along_m = Axis(1, 0, tuple(tail_weights(grid.m, s)[::-1]))
+    along_n = Axis(1, 0, tuple(tail_weights(grid.n, t)[::-1]))
+    shifted = shift_grid([row[:t - 1:-1] for row in grid.nums[:s - 1:-1]],
+                         along_m, along_n)
+    return [row[::-1] for row in shifted[::-1]], grid.den
 
 
 def antidiagonal_prefix(nums: IntGrid, wa: Sequence[int],
@@ -181,9 +168,8 @@ def antidiagonal_prefix(nums: IntGrid, wa: Sequence[int],
     """[c] = sum over i + j <= c of wa[i] wb[j] nums[i][j]."""
     diag = [0] * (len(wa) + len(wb) - 1)
     for i, (a, row) in enumerate(zip(wa, nums)):
-        if a:
-            for j, (b, x) in enumerate(zip(wb, row)):
-                diag[i + j] += a * b * x
+        for j, (b, x) in enumerate(zip(wb, row)):
+            diag[i + j] += a * b * x
     for c in range(1, len(diag)):
         diag[c] += diag[c - 1]
     return diag

@@ -21,7 +21,7 @@ anti-diagonal prefix; a denominator of 0 marks an undefined bound.  Each
 sweep function is wrapped by `_kernel.memoised`, so it checks the target
 and computes once per grid and target, and a repeat call returns the held
 sweep after one memo probe.  Each sweep's target and the Frechet, Gumbel
-and type depth (k, l) are checked by one call to `transforms._check_cell`,
+and type depth (k, l) are checked by one call to `model._check_cell`,
 which the inversions share.  A per-bound function reads one cell (c1, c3
 and c6 compute one pair) and returns a `BoundValue` built from that pair
 by its one constructor, which also takes a rational or None: it holds
@@ -54,8 +54,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import _kernel
 from .combinatorics import DomainError
-from .model import MomentMatrix
-from .transforms import _check_cell
+from .model import MomentMatrix, _check_cell
 
 LOWER = "lower"
 UPPER = "upper"
@@ -126,9 +125,12 @@ def bonferroni_sweep(
     Both equal the exact tail at K, as does every deeper cut."""
     _check_cell(mm, "uv", u, v, 1)
     den = mm.den
+    # the sub-grid from (u, v) on, its cuts counted from order u + v
     prefix = _kernel.antidiagonal_prefix(
-        mm.nums, _kernel.tail_weights(mm.m, u), _kernel.tail_weights(mm.n, v))
-    last, cuts = mm.m + mm.n, range(u + v, mm.m + mm.n + 3, 2)
+        [row[v:] for row in mm.nums[u:]], _kernel.tail_weights(mm.m, u),
+        _kernel.tail_weights(mm.n, v))
+    last = mm.m + mm.n - u - v
+    cuts = range(0, last + 3, 2)
     return ([(prefix[min(c + 1, last)], den) for c in cuts],
             [(prefix[min(c, last)], den) for c in cuts])
 

@@ -67,8 +67,9 @@ class RationalGrid:
         # dividing by the gcd leaves den the least common denominator of
         # the reduced entries: one form per value
         g = gcd(den, *chain.from_iterable(nums))
-        self.__dict__.update(m=m, n=n, den=den // g, nums=tuple(
-            tuple(x // g for x in row) for row in nums))
+        if g != 1:
+            den, nums = den // g, [[x // g for x in row] for row in nums]
+        self.__dict__.update(m=m, n=n, den=den, nums=tuple(map(tuple, nums)))
 
     def _view(self) -> Grid:
         return tuple(tuple(Fraction(x, self.den) for x in row)
@@ -95,6 +96,17 @@ class RationalGrid:
     def __repr__(self) -> str:  # the constructor call, with cells positional
         return (f"{type(self).__name__}({self.m}, {self.n}, "
                 f"{getattr(self, self.VIEW)!r})")
+
+
+def _check_cell(grid, names: Sequence[str], i: int, j: int,
+                lo: int) -> None:
+    """Raise a DomainError naming the first of i (names[0]) and j (names[1])
+    outside [lo, grid.m] and [lo, grid.n]; grid is anything with extents m
+    and n, a grid or an event system."""
+    if not (lo <= i <= grid.m and lo <= j <= grid.n):
+        name, value, hi = ((names[0], i, grid.m) if not lo <= i <= grid.m
+                           else (names[1], j, grid.n))
+        raise DomainError(f"{name}={value} outside [{lo}, {hi}]")
 
 
 class JointPMF(RationalGrid):
@@ -183,8 +195,7 @@ def bonferroni_sums(es: EventSystem, kmax: int, lmax: int) -> MomentMatrix:
     cross-checked.  Its cost is exponential in m and n, so it refuses to
     make more than SUBSET_CHECK_LIMIT (subset pair, atom) checks.
     """
-    if not (0 <= kmax <= es.m and 0 <= lmax <= es.n):
-        raise DomainError("need 0 <= kmax <= m and 0 <= lmax <= n")
+    _check_cell(es, ("kmax", "lmax"), kmax, lmax, 0)
     checks = (sum(comb(es.m, k) for k in range(kmax + 1))
               * sum(comb(es.n, l) for l in range(lmax + 1)) * len(es.atoms))
     if checks > SUBSET_CHECK_LIMIT:

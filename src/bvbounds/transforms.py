@@ -22,8 +22,8 @@ once per grid by `_kernel.memoised`, keyed by its axis map, as a grid with
 its corner set, that the per-cell functions read one cell of after one
 memo probe.
 Every per-cell read here and in `bounds` checks its indices by one call to
-`_check_cell`, a chained comparison that names the first index out of
-range.  The brute-force oracle never uses that kernel or that check, so
+`model._check_cell`, a chained comparison that names the first index out
+of range.  The brute-force oracle never uses that kernel or that check, so
 that it checks these results by independent routes.
 """
 
@@ -35,8 +35,8 @@ from math import comb
 from operator import mul
 
 from . import _kernel
-from .combinatorics import DomainError, Rational
-from .model import JointPMF, MomentMatrix, RationalGrid
+from .combinatorics import Rational
+from .model import JointPMF, MomentMatrix, RationalGrid, _check_cell
 
 
 class TailTable(RationalGrid):
@@ -44,16 +44,6 @@ class TailTable(RationalGrid):
 
     VIEW, WHAT, LEAST = "q", "tail", 1
     q = cached_property(RationalGrid._view)
-
-
-def _check_cell(grid: RationalGrid, names: str, i: int, j: int,
-                lo: int) -> None:
-    """Raise a DomainError naming the first of i (names[0]) and j (names[1])
-    outside [lo, grid.m] and [lo, grid.n]."""
-    if not (lo <= i <= grid.m and lo <= j <= grid.n):
-        name, value, hi = ((names[0], i, grid.m) if not lo <= i <= grid.m
-                           else (names[1], j, grid.n))
-        raise DomainError(f"{name}={value} outside [{lo}, {hi}]")
 
 
 # The tail maps pin the corner: P(S>=0, T>=0) = 1 and s[0][0] = 1 whatever

@@ -396,6 +396,18 @@ class TestErrors:
         assert err == (f"error: {moments6}: moments input makes no sense "
                        "here\n")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--kmax", "4"], "kmax=4 outside [0, 3]"),
+        (["--lmax", "-1"], "lmax=-1 outside [0, 2]"),
+        (["--kmax", "-1", "--lmax", "3"], "kmax=-1 outside [0, 3]"),
+    ], ids=["kmax", "lmax", "both"])
+    def test_moments_depth_error_names_the_flag_and_its_range(
+            self, capsys, flags, message):
+        events = GOLDEN / "events3x2.csv"
+        status, out, err = run(["moments", "--in", str(events)] + flags,
+                               capsys)
+        assert (status, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_pmf_sum(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"m": 1, "n": 1,

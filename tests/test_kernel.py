@@ -145,7 +145,7 @@ def test_lanes_hold_the_largest_outputs(m, n, big, alternating):
         assert shift_grid(nums, axis, axis) == ref.matrix_product(
             matrix(m), nums, matrix(n))
     grid = MomentMatrix.from_ints(m, n, nums, 1)
-    for s, t in {(1, 1), (2, 3), (m, n)}:
+    for s, t in {(1, 1), (2, 3), (1, n), (m, 1), (m, n)}:
         if 1 <= s <= m and 1 <= t <= n:
             assert chung_product(grid, s, t) == (ref.matrix_product(
                 ref.chung_map(m, s)[s:], nums, ref.chung_map(n, t)[t:]), 1)
