@@ -20,26 +20,28 @@ the target, or at (1, 1) for the type pair) or the Bonferroni
 anti-diagonal prefix; a denominator of 0 marks an undefined bound.  Each
 sweep function is wrapped by `_kernel.memoised`, so it checks the target
 and computes once per grid and target, and a repeat call returns the held
-sweep after one memo probe.  Each sweep's target and the Frechet, Gumbel
-and type depth (k, l) are checked by one call to `model._check_cell`,
-which the inversions share.  A per-bound function reads one cell (c1, c3
-and c6 compute one pair) and returns a `BoundValue` built from that pair
-by its one constructor, which also takes a rational or None: it holds
-the pair and builds its `Fraction` only when `value` is read.  The
-Frechet and Gumbel families are the type pair at target (1, 1), and
-Gumbel is Chung at (1, 1): both hold the same unreduced pair, since
-C(m,k) - C(m-1,k) = C(m-1,k-1).
+sweep after one memo probe.  Every target (a sweep's, a table's) and
+every depth (k, l) is checked by one call to `model._check_cell`, which
+the inversions share; a Chung depth ranges from its target on.  The one
+Bonferroni depth k need only be >= 0: deeper cuts clamp.  A per-bound
+function reads one cell (c1, c3 and c6 compute one pair) and returns a
+`BoundValue` built from that pair by its one constructor, which also
+takes a rational or None: it holds the pair and builds its `Fraction`
+only when `value` is read.  The Frechet and Gumbel families are the type
+pair at target (1, 1), and Gumbel is Chung at (1, 1): both hold the same
+unreduced pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
 
 `FAMILIES` states each family of `bound` once: its parameters, which are
-the CLI's flags, and the call that evaluates it.  `tables(mm, u, v)` holds
-the two-depth tables at a target, each with its label(s), direction, first
-depth (k, l) and cells: the type pair's and Chung's.  At (1, 1) it holds
-two: the type lower table, labelled type-lower and frechet, and the type
-upper table, labelled type-upper, gumbel and chung, since it holds the
-Chung pairs there.  `compare_rows(mm, u, v)` builds every row of `compare`
-from them, the rows of one cell's labels next to each other, then from the
-Bonferroni sweep, and c1, c6 and c3 at (a, b) = (m-1, n-1) at (1, 1), or
-the note that skips those when m or n < 2.
+the CLI's flags, and the call that evaluates it.  `tables(mm, u, v)`
+checks its target and holds the two-depth tables there, each with its
+label(s), direction, first depth (k, l) and cells: the type pair's and
+Chung's.  At (1, 1) it holds two: the type lower table, labelled
+type-lower and frechet, and the type upper table, labelled type-upper,
+gumbel and chung, since it holds the Chung pairs there.
+`compare_rows(mm, u, v)` builds every row of `compare` from them, the
+rows of one cell's labels next to each other, then from the Bonferroni
+sweep, and c1, c6 and c3 at (a, b) = (m-1, n-1) at (1, 1), or the note
+that skips those when m or n < 2.
 
 Values are reported raw (they may fall outside [0, 1]); a vanishing
 denominator yields an undefined BoundValue rather than an error.
@@ -123,7 +125,7 @@ def bonferroni_sweep(
     the anti-diagonal partial sum of the tail inversion cut at total order
     u+v+2k+1 (lower) and u+v+2k (upper), for 0 <= k <= K = (m+n-u-v)//2 + 1.
     Both equal the exact tail at K, as does every deeper cut."""
-    _check_cell(mm, "uv", u, v, 1)
+    _check_cell(mm, "uv", u, v, 1, 1)
     den = mm.den
     # the sub-grid from (u, v) on, its cuts counted from order u + v
     prefix = _kernel.antidiagonal_prefix(
@@ -147,7 +149,7 @@ def type_sweep(mm: MomentMatrix, s: int,
 
     Over the grid's common denominator, Sbar_{k,l} = C(m,k)C(n,l) -
     part[k-1][l-1], so the Chung numerator at (1, 1) is the upper one."""
-    _check_cell(mm, "st", s, t, 1)
+    _check_cell(mm, "st", s, t, 1, 1)
     m, n = mm.m, mm.n
     ks, ls = range(1, m + 1), range(1, n + 1)
     part, den = _kernel.chung_product(mm, 1, 1)
@@ -168,7 +170,7 @@ def type_sweep(mm: MomentMatrix, s: int,
 def chung_sweep(mm: MomentMatrix, s: int, t: int) -> PairGrid:
     """Alternating ratio bound on P(S>=s, T>=t), [k-s][l-t] for s <= k <= m,
     t <= l <= n: alpha . s . beta^T over C(m-s,k-s) C(n-t,l-t)."""
-    _check_cell(mm, "st", s, t, 1)
+    _check_cell(mm, "st", s, t, 1, 1)
     m, n = mm.m, mm.n
     nums, den = _kernel.chung_product(mm, s, t)
     return _grid(nums, [comb(m - s, k - s) * den for k in range(s, m + 1)],
@@ -189,8 +191,9 @@ def tables(mm: MomentMatrix, u: int, v: int) -> List[Table]:
     """The type pair's and Chung's tables on P(S>=u, T>=v).  At (1, 1) the
     type lower table is also Frechet's, and the type upper table is also
     Gumbel's and Chung's, whose pairs it holds, so Chung has no table of
-    its own there.  No bound is computed or target checked until cells()
-    runs: a caller checks first."""
+    its own there.  The target is checked here; no bound is computed until
+    cells() runs."""
+    _check_cell(mm, "uv", u, v, 1, 1)
     at_11 = (u, v) == (1, 1)
     found = [
         Table(("type-lower",) + ("frechet",) * at_11, LOWER, (1, 1),
@@ -243,7 +246,7 @@ def bonferroni_pair(
 
 def frechet_lower(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     """Product-form lower bound on P(S>=1, T>=1)."""
-    _check_cell(mm, "kl", k, l, 1)
+    _check_cell(mm, "kl", k, l, 1, 1)
     return BoundValue(type_sweep(mm, 1, 1)[0][k - 1][l - 1], LOWER,
                       "frechet", {"k": k, "l": l})
 
@@ -251,7 +254,7 @@ def frechet_lower(mm: MomentMatrix, k: int, l: int) -> BoundValue:
 def gumbel_upper(mm: MomentMatrix, k: int, l: int) -> BoundValue:
     """Ratio-form upper bound on P(S>=1, T>=1); at k=l=1 it reduces to
     s[1][1], the first-order truncation."""
-    _check_cell(mm, "kl", k, l, 1)
+    _check_cell(mm, "kl", k, l, 1, 1)
     return BoundValue(type_sweep(mm, 1, 1)[1][k - 1][l - 1], UPPER,
                       "gumbel", {"k": k, "l": l})
 
@@ -262,7 +265,7 @@ def frechet_gumbel_type(
     """Generalized lower/upper pair targeting P(S>=s, T>=t); either bound is
     undefined when its denominator vanishes."""
     lower, upper = type_sweep(mm, s, t)
-    _check_cell(mm, "kl", k, l, 1)
+    _check_cell(mm, "kl", k, l, 1, 1)
     params = {"s": s, "t": t, "k": k, "l": l}
     return (BoundValue(lower[k - 1][l - 1], LOWER, "frechet_type", params),
             BoundValue(upper[k - 1][l - 1], UPPER, "gumbel_type", params))
@@ -271,11 +274,9 @@ def frechet_gumbel_type(
 def chung_bound(mm: MomentMatrix, s: int, t: int, k: int, l: int) -> BoundValue:
     """Alternating ratio bound on P(S>=s, T>=t), nonincreasing in k and l
     and equal to the exact tail at (k, l) = (m, n)."""
-    if not (1 <= s <= k <= mm.m):
-        raise DomainError("need 1 <= s <= k <= m")
-    if not (1 <= t <= l <= mm.n):
-        raise DomainError("need 1 <= t <= l <= n")
-    return BoundValue(chung_sweep(mm, s, t)[k - s][l - t], UPPER, "chung",
+    sweep = chung_sweep(mm, s, t)
+    _check_cell(mm, "kl", k, l, s, t)
+    return BoundValue(sweep[k - s][l - t], UPPER, "chung",
                       {"s": s, "t": t, "k": k, "l": l})
 
 

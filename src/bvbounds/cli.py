@@ -313,12 +313,6 @@ def cmd_bound(args, out) -> int:
     return EXIT_OK
 
 
-def _check_target(grid, u: int, v: int) -> None:
-    """Raise unless (u, v) is a target of P(S>=u, T>=v) on the grid's m, n."""
-    if not (1 <= u <= grid.m and 1 <= v <= grid.n):
-        raise InputError("need 1 <= u <= m and 1 <= v <= n")
-
-
 def cmd_sweep(args, out) -> int:
     mm = to_moments(load_instance(args.infile))
     fam = args.family
@@ -326,7 +320,6 @@ def cmd_sweep(args, out) -> int:
                   if fam in t.labels), None)
     if table is None:
         raise InputError(f"--family {fam} targets u=1, v=1 only")
-    _check_target(mm, args.u, args.v)
     grid = table.cells()
     print(f"{fam} sweep over (k, l):", file=out)
     for row in grid:
@@ -383,10 +376,8 @@ def cmd_compare(args, out) -> int:
         )
     pmf = model.counting_pmf(obj) if isinstance(obj, EventSystem) else obj
     u, v = args.u, args.v
-    _check_target(pmf, u, v)
-    mm = model.moments_from_pmf(pmf)
+    rows, skips = bnd.compare_rows(model.moments_from_pmf(pmf), u, v)
     tail = sum(x for row in pmf.nums[u:] for x in row[v:])  # over pmf.den
-    rows, skips = bnd.compare_rows(mm, u, v)
     lines = [f"target P(S>={u}, T>={v})",
              f"exact  {fmt_ratio(tail, pmf.den)}"]
     lines += _compare_lines(rows)

@@ -1,5 +1,7 @@
-"""Exact generalized binomial coefficients and the combinatorial identities
-used throughout the moment inversions and bound formulas.
+"""Exact generalized binomial coefficients and the paper's combinatorial
+identities, checked exactly, as a public API that the package re-exports.
+The other modules take only `DomainError` and `Rational` from here; the
+kernel uses `math.comb`.
 
 The binomial convention: for any rational d and integer r > 0,
 binom(d, r) = d(d-1)...(d-r+1) / r!; binom(d, 0) = 1; binom(d, r) = 0 for

@@ -34,10 +34,11 @@ def common_denominator(pairs) -> Tuple[List[List[int]], int]:
 class RationalGrid:
     """A frozen (m+1) x (n+1) grid of rationals, held as `nums` over `den`.
     RationalGrid(m, n, cells) keeps the Fractions of its cells as its view;
-    from_ints(m, n, nums, den) holds nums[u][v] / den (ints, den > 0) and
-    builds the view when it is first read.  A subclass names its view (VIEW,
-    a `cached_property` of `_view`), its grid in a shape error (WHAT) and
-    its least extent (LEAST), and may extend `_hold` to check its values."""
+    from_ints(m, n, nums, den) holds nums[u][v] / den (ints; a den <= 0 is
+    refused) and builds the view when it is first read.  A subclass names
+    its view (VIEW, a `cached_property` of `_view`), its grid in a shape
+    error (WHAT) and its least extent (LEAST), and may extend `_hold` to
+    check its values."""
 
     VIEW, WHAT, LEAST = "cells", "rational", 0
 
@@ -51,6 +52,8 @@ class RationalGrid:
 
     @classmethod
     def from_ints(cls, m: int, n: int, nums, den: int):
+        if den <= 0:
+            raise DomainError(f"den must be > 0, got {den}")
         grid = cls.__new__(cls)
         grid._check_shape(m, n, nums)
         grid._hold(m, n, nums, den)
@@ -99,13 +102,14 @@ class RationalGrid:
 
 
 def _check_cell(grid, names: Sequence[str], i: int, j: int,
-                lo: int) -> None:
+                lo_i: int, lo_j: int) -> None:
     """Raise a DomainError naming the first of i (names[0]) and j (names[1])
-    outside [lo, grid.m] and [lo, grid.n]; grid is anything with extents m
-    and n, a grid or an event system."""
-    if not (lo <= i <= grid.m and lo <= j <= grid.n):
-        name, value, hi = ((names[0], i, grid.m) if not lo <= i <= grid.m
-                           else (names[1], j, grid.n))
+    outside [lo_i, grid.m] and [lo_j, grid.n]; grid is anything with
+    extents m and n, a grid or an event system."""
+    if not (lo_i <= i <= grid.m and lo_j <= j <= grid.n):
+        name, value, lo, hi = (
+            (names[0], i, lo_i, grid.m) if not lo_i <= i <= grid.m
+            else (names[1], j, lo_j, grid.n))
         raise DomainError(f"{name}={value} outside [{lo}, {hi}]")
 
 
@@ -195,7 +199,7 @@ def bonferroni_sums(es: EventSystem, kmax: int, lmax: int) -> MomentMatrix:
     cross-checked.  Its cost is exponential in m and n, so it refuses to
     make more than SUBSET_CHECK_LIMIT (subset pair, atom) checks.
     """
-    _check_cell(es, ("kmax", "lmax"), kmax, lmax, 0)
+    _check_cell(es, ("kmax", "lmax"), kmax, lmax, 0, 0)
     checks = (sum(comb(es.m, k) for k in range(kmax + 1))
               * sum(comb(es.n, l) for l in range(lmax + 1)) * len(es.atoms))
     if checks > SUBSET_CHECK_LIMIT:

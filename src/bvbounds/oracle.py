@@ -124,10 +124,7 @@ def random_instance(spec: InstanceSpec) -> Union[JointPMF, EventSystem]:
             for _ in range(spec.m + 1)
         ]
         if sparse:
-            for u in range(spec.m + 1):
-                for v in range(spec.n + 1):
-                    if rng.random() < 0.5:
-                        w[u][v] = 0
+            w = [[0 if rng.random() < 0.5 else x for x in row] for row in w]
         total = sum(map(sum, w))
         if total:
             break

@@ -21,10 +21,11 @@ as one int, and its lanes are decoded once.  Each inversion is memoised
 once per grid by `_kernel.memoised`, keyed by its axis map, as a grid with
 its corner set, that the per-cell functions read one cell of after one
 memo probe.
-Every per-cell read here and in `bounds` checks its indices by one call to
-`model._check_cell`, a chained comparison that names the first index out
-of range.  The brute-force oracle never uses that kernel or that check, so
-that it checks these results by independent routes.
+Every index read here, in `bounds` and by the commands of `cli` is checked
+by one call to `model._check_cell`, a chained comparison against each
+axis's least legal index that names the first index out of range.  The
+brute-force oracle never uses that kernel or that check, so that it
+checks these results by independent routes.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _inverse(grid: RationalGrid, axis) -> RationalGrid:
 
 def _cell(grid: RationalGrid, axis, names: str, i: int, j: int) -> Fraction:
     """Cell (i, j), checked in range and named by `names`, of the inversion."""
-    _check_cell(grid, names, i, j, 0)
+    _check_cell(grid, names, i, j, 0, 0)
     held = _inverse(grid, axis)
     return Fraction(held.nums[i][j], held.den)
 
@@ -148,7 +149,7 @@ def complementary_moment(mm: MomentMatrix, k: int, l: int) -> Fraction:
         A[k][i] = (-1)^i C(m-i, k-i) for 1 <= i <= k, B likewise in n;
 
     A . s . B^T is the Chung numerator product at (1, 1)."""
-    _check_cell(mm, "kl", k, l, 1)
+    _check_cell(mm, "kl", k, l, 1, 1)
     part, den = _kernel.chung_product(mm, 1, 1)
     return Fraction(comb(mm.m, k) * comb(mm.n, l) * den - part[k - 1][l - 1],
                     den)

@@ -177,10 +177,10 @@ def frechet_gumbel_type(mm, s, t, k, l):
 
 
 def chung_bound(mm, s, t, k, l):
-    if not (1 <= s <= k <= mm.m):
-        raise DomainError("need 1 <= s <= k <= m")
-    if not (1 <= t <= l <= mm.n):
-        raise DomainError("need 1 <= t <= l <= n")
+    _check_range("s", s, 1, mm.m)
+    _check_range("t", t, 1, mm.n)
+    _check_range("k", k, s, mm.m)
+    _check_range("l", l, t, mm.n)
     num = Fraction(0)
     for i in range(s, k + 1):
         for j in range(t, l + 1):

@@ -169,17 +169,19 @@ class TestSweep:
         )
         assert status == 0
 
-    @pytest.mark.parametrize("u, v", [("3", "1"), ("1", "3"), ("0", "3"),
-                                      ("2", "0")])
-    def test_chung_target_outside_the_grid(self, e2_file, capsys, u, v):
+    @pytest.mark.parametrize("u, v, message", [
+        ("3", "1", "u=3 outside [1, 2]"), ("1", "3", "v=3 outside [1, 2]"),
+        ("0", "3", "u=0 outside [1, 2]"), ("2", "0", "v=0 outside [1, 2]")],
+        ids=["3-1", "1-3", "0-3", "2-0"])
+    def test_chung_target_outside_the_grid(self, e2_file, capsys, u, v,
+                                           message):
         # the text compare prints, not the flags of `bound --family chung`
         status, out, err = run(
             ["sweep", "--in", e2_file, "--family", "chung",
              "--u", u, "--v", v],
             capsys,
         )
-        assert (status, out, err) == (
-            1, "", "error: need 1 <= u <= m and 1 <= v <= n\n")
+        assert (status, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("family", ["frechet", "gumbel"])
     @pytest.mark.parametrize("u, v", [("0", "1"), ("2", "1"), ("1", "3")])
@@ -191,7 +193,11 @@ class TestSweep:
             capsys,
         )
         assert (status, out) == (1, "")
-        assert err == f"error: --family {family} targets u=1, v=1 only\n"
+        # a target outside the 2 x 2 grid is named before the family
+        outside = {("0", "1"): "u=0 outside [1, 2]",
+                   ("1", "3"): "v=3 outside [1, 2]"}.get((u, v))
+        assert err == (f"error: {outside}\n" if outside else
+                       f"error: --family {family} targets u=1, v=1 only\n")
 
 
 class TestCompare:
@@ -406,6 +412,35 @@ class TestErrors:
         events = GOLDEN / "events3x2.csv"
         status, out, err = run(["moments", "--in", str(events)] + flags,
                                capsys)
+        assert (status, out, err) == (1, "", f"error: {message}\n")
+
+    CHUNG = ["bound", "--family", "chung"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--u", "7", "--v", "1"], "u=7 outside [1, 6]"),
+        (["compare", "--u", "0", "--v", "1"], "u=0 outside [1, 6]"),
+        (["compare", "--u", "1", "--v", "7"], "v=7 outside [1, 6]"),
+        (["sweep", "--family", "chung", "--u", "7", "--v", "1"],
+         "u=7 outside [1, 6]"),
+        (["sweep", "--family", "chung", "--u", "2", "--v", "0"],
+         "v=0 outside [1, 6]"),
+        (CHUNG + ["--s", "0", "--t", "1", "--k", "1", "--l", "1"],
+         "s=0 outside [1, 6]"),
+        (CHUNG + ["--s", "1", "--t", "7", "--k", "1", "--l", "7"],
+         "t=7 outside [1, 6]"),
+        (CHUNG + ["--s", "3", "--t", "1", "--k", "2", "--l", "1"],
+         "k=2 outside [3, 6]"),
+        (CHUNG + ["--s", "1", "--t", "2", "--k", "7", "--l", "1"],
+         "k=7 outside [1, 6]"),
+        (CHUNG + ["--s", "1", "--t", "2", "--k", "1", "--l", "1"],
+         "l=1 outside [2, 6]"),
+    ], ids=["compare-u-high", "compare-u-zero", "compare-v-high",
+            "sweep-u-high", "sweep-v-zero", "chung-s", "chung-t",
+            "chung-k-below-s", "chung-k-high", "chung-l-below-t"])
+    def test_target_or_depth_outside_the_grid_is_named(self, capsys, argv,
+                                                       message):
+        pmf6 = str(GOLDEN / "pmf6.json")
+        status, out, err = run([argv[0], "--in", pmf6, *argv[1:]], capsys)
         assert (status, out, err) == (1, "", f"error: {message}\n")
 
     def test_bad_pmf_sum(self, tmp_path, capsys):

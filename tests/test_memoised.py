@@ -115,8 +115,10 @@ PER_CELL = {
         depth("s", s, M), depth("t", t, N), depth("k", k, M),
         depth("l", l, N)]),
     chung_bound: ("stkl", lambda s, t, k, l: [
-        (1 <= s <= k <= M, "need 1 <= s <= k <= m"),
-        (1 <= t <= l <= N, "need 1 <= t <= l <= n")]),
+        depth("s", s, M), depth("t", t, N), outside("k", k, s, M),
+        outside("l", l, t, N)]),
+    bounds.compare_rows: ("uv", lambda u, v: [depth("u", u, M),
+                                              depth("v", v, N)]),
     bonferroni_pair: ("uvk", lambda u, v, k: [
         depth("u", u, M), depth("v", v, N), (k >= 0, "k must be nonnegative")]),
     complementary_moment: ("kl", lambda k, l: [depth("k", k, M),

@@ -58,6 +58,15 @@ def test_grid_extent_and_shape_errors(cls, m, n, rows, message):
         cls.from_ints(m, n, rows, 1)
 
 
+@pytest.mark.parametrize("den", [-2, 0])
+@pytest.mark.parametrize("cls", [JointPMF, MomentMatrix, TailTable])
+def test_from_ints_refuses_a_denominator_below_one(cls, den):
+    # held as given, -2 would leave den = -1 after the gcd and 0 a view
+    # that divides by zero
+    with pytest.raises(DomainError, match=rf"^den must be > 0, got {den}$"):
+        cls.from_ints(1, 1, [[2, 4], [6, 8]], den)
+
+
 @pytest.mark.parametrize("m, n, atoms, message", [
     (0, 1, [(1, (), (1,))], "requires m >= 1 and n >= 1"),
     (1, 0, [(1, (1,), ())], "requires m >= 1 and n >= 1"),

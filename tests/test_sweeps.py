@@ -219,6 +219,14 @@ def test_rising_families_are_two_depth_tables():
         assert [len(t.first) for t in tables if family in t.labels] == [2]
 
 
+@pytest.mark.parametrize("u, v, message", [
+    (3, 1, "u=3 outside [1, 2]"), (1, 0, "v=0 outside [1, 2]")])
+def test_tables_check_their_target(u, v, message):
+    with pytest.raises(DomainError) as err:
+        bounds_mod.tables(MM2, u, v)
+    assert str(err.value) == message
+
+
 def test_comparison_tables_hold_the_comparison_bounds():
     # one row each at (1, 1), in the direction the bound states
     rows, skips = bounds_mod.compare_rows(MM2, 1, 1)
