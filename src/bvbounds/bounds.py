@@ -17,17 +17,16 @@ Every bound is an integer numerator over an integer denominator.  A
 (numerator, denominator) ints of every legal depth (k, l), or k for
 Bonferroni, read off one memoised kernel product (the Chung numerators of
 the target, or at (1, 1) for the type pair) or the Bonferroni
-anti-diagonal prefix; a denominator of 0 marks an undefined bound.  Each
-sweep function is wrapped by `_kernel.memoised`, so it checks the target
-and computes once per grid and target, and a repeat call returns the held
+anti-diagonal prefix; (0, 0) marks an undefined bound.  Each sweep
+function is wrapped by `_kernel.memoised`, so it checks the target and
+computes once per grid and target, and a repeat call returns the held
 sweep after one memo probe.  Every target (a sweep's, a table's) and
 every depth (k, l) is checked by one call to `model._check_cell`, which
 the inversions share; a Chung depth ranges from its target on.  The one
 Bonferroni depth k need only be >= 0: deeper cuts clamp.  A per-bound
 function reads one cell (c1, c3 and c6 compute one pair) and returns a
-`BoundValue` built from that pair by its one constructor, which also
-takes a rational or None: it holds the pair and builds its `Fraction`
-only when `value` is read.  The Frechet and Gumbel families are the type
+`BoundValue`, a record of that pair whose `value` is its `Fraction`,
+built on each read.  The Frechet and Gumbel families are the type
 pair at target (1, 1), and Gumbel is Chung at (1, 1): both hold the same
 unreduced pair, since C(m,k) - C(m-1,k) = C(m-1,k-1).
 
@@ -44,12 +43,12 @@ sweep, and c1, c6 and c3 at (a, b) = (m-1, n-1) at (1, 1), or the note
 that skips those when m or n < 2.
 
 Values are reported raw (they may fall outside [0, 1]); a vanishing
-denominator yields an undefined BoundValue rather than an error.
+denominator yields the pair (0, 0), an undefined BoundValue, rather than
+an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -61,45 +60,32 @@ from .model import MomentMatrix, _check_cell
 LOWER = "lower"
 UPPER = "upper"
 
-Pair = Tuple[int, int]  # (numerator, denominator), 0 when undefined
+Pair = Tuple[int, int]  # (numerator, denominator), (0, 0) when undefined
 PairGrid = List[List[Pair]]  # [i][j]: depth (first k + i, first l + j)
 Row = Tuple[str, str, int, int]  # (label, direction, numerator, denominator)
 
 
-@dataclass(frozen=True, init=False)
-class BoundValue:
-    """A computed bound: value (None when undefined), direction, family,
-    and the parameters it was evaluated at.
+class BoundValue(NamedTuple):
+    """A computed bound: its (numerator, denominator > 0) pair, not
+    necessarily reduced, or (0, 0) when undefined; its direction, family,
+    and the parameters it was evaluated at.  `value` is the pair's rational
+    (None when undefined), and bounds compare equal by value."""
 
-    `value` may be given as a rational, None or a (numerator, denominator)
-    pair; `pair` is the value as (numerator, denominator > 0), not
-    necessarily reduced, or (0, 0) when undefined, and `note` says why a
-    bound is undefined.  A bound given a pair builds `value` when it is
-    first read."""
-
-    value: Optional[Fraction]
+    pair: Pair
     direction: str
     family: str
     params: Dict[str, int]
-    pair: Pair = field(init=False, compare=False, repr=False)
 
-    def __init__(self, value, direction: str, family: str,
-                 params: Optional[Dict[str, int]] = None):
-        if isinstance(value, tuple):  # value is built from it when read
-            pair = value if value[1] else (0, 0)
-        else:
-            self.__dict__["value"] = value
-            pair = ((0, 0) if value is None
-                    else (value.numerator, value.denominator))
-        self.__dict__.update(pair=pair, direction=direction, family=family,
-                             params={} if params is None else params)
+    @property
+    def value(self) -> Optional[Fraction]:
+        return Fraction(*self.pair) if self.pair[1] else None
 
-    def __getattr__(self, name: str):  # reached only while value is unbuilt
-        if name != "value" or "pair" not in vars(self):
-            raise AttributeError(name)
-        num, den = self.pair
-        value = self.__dict__["value"] = Fraction(num, den) if den else None
-        return value
+    def __eq__(self, other):
+        if not isinstance(other, BoundValue):
+            return NotImplemented
+        return self.value == other.value and self[1:] == other[1:]
+
+    __ne__ = object.__ne__  # else tuple.__ne__ compares the pairs as tuples
 
     @property
     def defined(self) -> bool:
@@ -148,7 +134,9 @@ def type_sweep(mm: MomentMatrix, s: int,
                 / ((C(m,k) - C(m-s,k)) (C(n,l) - C(n-t,l)))
 
     Over the grid's common denominator, Sbar_{k,l} = C(m,k)C(n,l) -
-    part[k-1][l-1], so the Chung numerator at (1, 1) is the upper one."""
+    part[k-1][l-1], so the Chung numerator at (1, 1) is the upper one.
+    (0, 0) marks a lower cell whose denominator vanishes (k > m-s+1 or
+    l > n-t+1); no upper denominator does."""
     _check_cell(mm, "st", s, t, 1, 1)
     m, n = mm.m, mm.n
     ks, ls = range(1, m + 1), range(1, n + 1)
@@ -158,7 +146,7 @@ def type_sweep(mm: MomentMatrix, s: int,
     lo_a = [comb(m - s + 1, k) * den for k in ks]
     lo_b = [comb(n - t + 1, l) for l in ls]
     # 1 - Sbar / d = (d - C(m,k) C(n,l) + part) / d
-    lower = [[(a * b - fa * fb + x, a * b)
+    lower = [[(a * b - fa * fb + x, a * b) if a * b else (0, 0)
               for x, b, fb in zip(row, lo_b, full_b)]
              for row, a, fa in zip(part, lo_a, full_a)]
     return lower, _grid(

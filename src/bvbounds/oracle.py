@@ -150,7 +150,9 @@ def _random_event_system(rng, m: int, n: int, count: int) -> EventSystem:
 def exact_tail(pmf: JointPMF, u: int, v: int) -> Fraction:
     """Suffix sum P(S>=u, T>=v) straight from the pmf."""
     if not (0 <= u <= pmf.m and 0 <= v <= pmf.n):
-        raise DomainError("tail indices out of range")
+        name, x, hi = (("u", u, pmf.m) if not 0 <= u <= pmf.m
+                       else ("v", v, pmf.n))
+        raise DomainError(f"{name}={x} outside [0, {hi}]")
     return Fraction(sum(
         pmf.p[i][j]
         for i in range(u, pmf.m + 1)

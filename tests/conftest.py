@@ -28,6 +28,12 @@ def complementary_moment_from_pmf(pmf, k, l):
     return binom(m, k) * e_b + binom(n, l) * e_a - e_ab
 
 
+def with_value(bound, x):
+    """bound with the rational x in place of its value, as a planted fault
+    sets it: its pair is x's reduced numerator and denominator."""
+    return bound._replace(pair=(x.numerator, x.denominator))
+
+
 def _support(pmf):
     for u in range(pmf.m + 1):
         for v in range(pmf.n + 1):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -21,6 +20,7 @@ from bvbounds import (
 )
 import bvbounds.bounds as bounds_mod
 from bvbounds.bounds import LOWER, UPPER, BoundValue
+from conftest import with_value
 from test_kernel import moment_matrices
 
 third = Fraction(1, 3)
@@ -186,19 +186,22 @@ class TestComparisonBounds:
 class TestBoundValuePair:
     def test_pair_built_equals_value_built(self, mm2):
         b = chung_bound(mm2, 1, 1, 1, 2)
-        built = BoundValue(b.value, b.direction, b.family, dict(b.params))
+        x = b.value
+        built = BoundValue((x.numerator, x.denominator), b.direction,
+                           b.family, dict(b.params))
         assert built == b
-        assert repr(built) == repr(b)
+        # equal by value, while each keeps and shows its own pair
+        assert (built.pair, b.pair) == ((1, 1), (3, 3))
+        assert repr(built) == repr(b).replace("(3, 3)", "(1, 1)")
 
     def test_pair_read_before_value(self, mm2):
         b = frechet_lower(mm2, 1, 1)
         assert Fraction(*b.pair) == Fraction(5, 12)
-        assert "value" not in vars(b)  # not built until read
-        assert b.value == Fraction(5, 12) and "value" in vars(b)
+        assert b.value == Fraction(5, 12)
 
     def test_replace_updates_pair(self, mm2):
         b = gumbel_upper(mm2, 2, 2)
-        bumped = replace(b, value=b.value + 1)
+        bumped = with_value(b, b.value + 1)
         assert bumped.pair == (5, 3)
         assert bumped != b
 
@@ -214,31 +217,38 @@ class TestBoundValuePair:
         pmf = JointPMF(3, 1, [[Fraction(1, 2), 0], [0, 0], [0, 0],
                               [0, Fraction(1, 2)]])
         lo, up = frechet_gumbel_type(moments_from_pmf(pmf), 3, 1, 3, 1)
-        built = BoundValue(None, lo.direction, lo.family, dict(lo.params))
+        built = BoundValue((0, 0), lo.direction, lo.family, dict(lo.params))
         note = "bound undefined for these parameters (zero denominator)"
         assert built == lo
         assert built.note == lo.note == note
         assert up.defined and up.note is None
-        assert replace(up, value=None).note == note
+        assert up._replace(pair=(0, 0)).note == note
 
     def test_built_from_a_pair(self):
         b = BoundValue((2, 4), UPPER, "chung", {"k": 1})
-        assert "value" not in vars(b)  # not built until read
         assert b.pair == (2, 4) and b.defined
-        assert b == BoundValue(Fraction(1, 2), UPPER, "chung", {"k": 1})
-        assert "value" in vars(b) and b.pair == (2, 4)
+        assert b == BoundValue((1, 2), UPPER, "chung", {"k": 1})
+
+    def test_unreduced_pairs_are_not_unequal(self):
+        # a tuple's own != would compare the pairs (2, 4) and (1, 2)
+        half = BoundValue((1, 2), UPPER, "chung", {})
+        assert not BoundValue((2, 4), UPPER, "chung", {}) != half
+        assert BoundValue((2, 4), LOWER, "chung", {}) != half
+        assert BoundValue((3, 4), UPPER, "chung", {}) != half
+        assert half != (1, 2) and (half == (1, 2)) is False
 
     def test_built_from_a_pair_with_zero_denominator(self):
-        b = BoundValue((5, 0), LOWER, "frechet_type")
+        b = BoundValue((0, 0), LOWER, "frechet_type", {})
         assert b.pair == (0, 0) and not b.defined
         assert b.note == ("bound undefined for these parameters (zero "
                           "denominator)")
         assert b.value is None and b.params == {}
-        assert b == BoundValue(None, LOWER, "frechet_type")
+        assert b == BoundValue((0, 0), LOWER, "frechet_type", {})
+        assert b != BoundValue((0, 1), LOWER, "frechet_type", {})
 
     def test_no_other_attribute_is_made_up(self, mm2):
         b = chung_bound(mm2, 1, 1, 1, 2)
-        for bound in (b, BoundValue(b.value, b.direction, b.family)):
+        for bound in (b, BoundValue(b.pair, b.direction, b.family, {})):
             assert not hasattr(bound, "nope")
 
     @given(moment_matrices(lo=1))
@@ -336,7 +346,7 @@ def test_product_laws_factor_into_univariate_bounds(monkeypatch):
 
     def doubled(mm, s, t, k, l):  # still a valid upper bound
         lo, up = real(mm, s, t, k, l)
-        return lo, (up if (s, t) == (1, 1) else replace(up, value=2 * up.value))
+        return lo, (up if (s, t) == (1, 1) else with_value(up, 2 * up.value))
 
     monkeypatch.setattr(bounds_mod, "frechet_gumbel_type", doubled)
     assert _product_law_mismatches(range(5))[1] > 0

@@ -1,7 +1,6 @@
 import io
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvbounds import bounds as bnd, cli, model, oracle
 from bvbounds.cli import InputError, main, parse_rational
+from conftest import with_value
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -312,7 +312,7 @@ class TestValidate:
 
         def planted(*args):
             bound = real(*args)
-            return replace(bound, value=bound.value + 1)
+            return with_value(bound, bound.value + 1)
 
         monkeypatch.setattr(bnd, "chung_bound", planted)
         argv = ["validate", "--trials", "9", "--mmax", "3", "--nmax", "3"]

@@ -38,15 +38,18 @@ def compare_rows(draw):
         ),
         max_size=14,
     ))
-    return [(lbl, BoundValue(value, direction, "test"))
-            for lbl, value, direction in rows]
+    return [(lbl, bound(value, direction)) for lbl, value, direction in rows]
+
+
+def bound(x, direction):
+    """A bound of the rational x, built from its reduced pair."""
+    return BoundValue((x.numerator, x.denominator), direction, "test", {})
 
 
 def _ordered(rows):
     """`cli._compare_lines` on (label, bound) rows, each line read back as
     (value, direction, label, starred)."""
-    pairs = [(lbl, b.direction, b.value.numerator, b.value.denominator)
-             for lbl, b in rows]
+    pairs = [(lbl, b.direction, *b.pair) for lbl, b in rows]
     lines = _compare_lines(pairs)
     assert lines == ref.compare_lines(pairs)
     ordered = []
@@ -85,7 +88,7 @@ def test_ordered_matches_exact_sort_and_stars(rows):
 ])
 def test_ordered_one_sided_and_tied(directions):
     # Every row has the same value: a tie across both directions.
-    rows = [(f"row {i}", BoundValue(Fraction(7, 3), d, "test"))
+    rows = [(f"row {i}", bound(Fraction(7, 3), d))
             for i, d in enumerate(directions)]
     check_ordered(rows)
     assert all(starred for *_, starred in _ordered(rows))
@@ -93,9 +96,8 @@ def test_ordered_one_sided_and_tied(directions):
 
 def test_values_closer_than_the_prefix_stay_apart():
     x = Fraction(-5, 7)
-    rows = [("b", BoundValue(x + TINY, "lower", "test")),
-            ("a", BoundValue(x, "lower", "test")),
-            ("c", BoundValue(x - TINY, "upper", "test"))]
+    rows = [("b", bound(x + TINY, "lower")), ("a", bound(x, "lower")),
+            ("c", bound(x - TINY, "upper"))]
     assert [(lbl, starred) for _, _, lbl, starred in _ordered(rows)] == [
         ("c", True), ("a", False), ("b", True)]
 

@@ -86,10 +86,10 @@ def outcome(fn, *args):
         value = fn(*args)
     except DomainError as exc:
         return ("error", str(exc))
-    if isinstance(value, tuple):
-        return tuple(outcome(lambda: v) for v in value)
-    if isinstance(value, bvbounds.BoundValue):
+    if isinstance(value, bvbounds.BoundValue):  # a tuple too, so tested first
         value = value.value
+    elif isinstance(value, tuple):
+        return tuple(outcome(lambda: v) for v in value)
     assert value is None or type(value) is Fraction
     return value
 

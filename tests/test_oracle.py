@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -17,6 +16,7 @@ from bvbounds import (
     validate,
 )
 from bvbounds.oracle import ALL_PROPERTIES
+from conftest import with_value
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,14 +31,14 @@ PAIR_FAULT_SPECS = [
 def _type_lower_plus_1(real):
     def planted(*args):
         lo, up = real(*args)
-        return (replace(lo, value=lo.value + 1) if lo.defined else lo), up
+        return (with_value(lo, lo.value + 1) if lo.defined else lo), up
     return planted
 
 
 def _bonferroni_upper_minus_1(real):
     def planted(*args):
         lo, up = real(*args)
-        return lo, replace(up, value=up.value - 1)
+        return lo, with_value(up, up.value - 1)
     return planted
 
 
@@ -46,7 +46,7 @@ def _shifted(delta):
     def wrap(real):
         def planted(*args):
             bound = real(*args)
-            return replace(bound, value=bound.value + delta)
+            return with_value(bound, bound.value + delta)
         return planted
     return wrap
 
@@ -57,7 +57,7 @@ def _comparison_shifted(which, delta):
             bound = real(mm, name, *args)
             if name != which:
                 return bound
-            return replace(bound, value=bound.value + delta)
+            return with_value(bound, bound.value + delta)
         return planted
     return wrap
 
@@ -131,8 +131,12 @@ class TestExactTail:
         assert exact_tail(e2, 2, 1) == Fraction(1, 3)
 
     def test_out_of_range(self, e2):
-        with pytest.raises(DomainError):
-            exact_tail(e2, 3, 0)
+        # the first index outside its range is named, with that range
+        for u, v, message in [(3, 0, "u=3"), (0, 3, "v=3"), (-1, 1, "u=-1"),
+                              (1, -1, "v=-1"), (3, -1, "u=3")]:
+            with pytest.raises(DomainError,
+                               match=rf"^{message} outside \[0, 2\]$"):
+                exact_tail(e2, u, v)
 
     def test_table_matches_pointwise(self, e2):
         tt = tail_table_from_pmf(e2)
@@ -248,7 +252,7 @@ class TestValidate:
 
             def planted(*args):
                 bound = real(*args)
-                return replace(bound, value=bound.value + 1)
+                return with_value(bound, bound.value + 1)
 
             monkeypatch.setattr(bounds_mod, "chung_bound", planted)
         else:
@@ -271,8 +275,7 @@ class TestValidate:
     @pytest.mark.parametrize("fault", PAIR_FAULTS)
     def test_planted_fault_on_pair_checks(self, monkeypatch, fault):
         # golden check counts and failure records of the parent of the
-        # oracle's pair comparisons, under faults planted through
-        # replace(..., value=...)
+        # oracle's pair comparisons, under faults planted with with_value
         plant_pair_fault(monkeypatch, fault)
         report = validate(PAIR_FAULT_SPECS)
         golden = json.loads((GOLDEN / "validate_planted_pairs.json")

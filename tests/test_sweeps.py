@@ -7,7 +7,6 @@ import ast
 import contextlib
 import io
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from bvbounds.bounds import (bonferroni_pair, bonferroni_sweep, chung_bound,
                               frechet_gumbel_type, frechet_lower,
                               gumbel_upper, type_sweep)
 from bvbounds.cli import build_parser, main
+from conftest import with_value
 from test_kernel import GOLDEN, SRC, moment_matrices
 
 # m = n = 2, mass 1/3 at (0, 0), (1, 1) and (2, 2)
@@ -55,8 +55,9 @@ def test_type_sweep(mm):
                     cells = lower[k - 1][l - 1], upper[k - 1][l - 1]
                     assert tuple(map(value, cells)) == \
                         ref.frechet_gumbel_type(mm, s, t, k, l)
-                    if k > mm.m - s + 1:  # C(m-s+1, k) = 0
-                        assert cells[0][1] == 0
+                    # C(m-s+1, k) = 0 or C(n-t+1, l) = 0
+                    if k > mm.m - s + 1 or l > mm.n - t + 1:
+                        assert cells[0] == (0, 0)
 
 
 @sweep_settings
@@ -107,6 +108,7 @@ def test_zero_denominator_cells():
     lower, upper = type_sweep(mm, 3, 1)
     # C(m-s+1, k) = C(1, k) vanishes for k = 2, 3
     assert [row[0][1] for row in lower] == [8, 0, 0]
+    assert lower[1][0] == lower[2][0] == (0, 0)
     assert all(row[0][1] for row in upper)
 
 
@@ -347,8 +349,8 @@ def test_shape_planted_fault_matches_golden(monkeypatch):
         def bound(mm, *args):
             value = real(mm, *args)
             k, l = args[-2:]
-            return replace(value, value=value.value
-                           + Fraction(planted_term(k, l), 100))
+            return with_value(value, value.value
+                              + Fraction(planted_term(k, l), 100))
         return bound
 
     for name in ("frechet_lower", "gumbel_upper", "chung_bound"):
