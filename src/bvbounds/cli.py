@@ -51,10 +51,11 @@ class InputError(Exception):
 # bounded by CPython's limit of 4300 digits on int().
 EXPONENT_LIMIT = 1000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
-# Largest m or n of an input or of `validate`.  In process on CPython 3.11
-# (2-core x86-64 host), `compare` at m = n = 128 takes about 0.6 s with a
-# peak RSS of 132 MB at target (1, 1), and about 0.85 s and 94 MB at
-# (2, 3): 7 to 10 times its time at m = n = 64.
+# Largest m or n of an input or of `validate`.  In process on CPython 3.11.7
+# (2-core x86-64 host, a dense random pmf, median of 7 runs), `compare` at
+# m = n = 128 takes about 0.73 s with a peak RSS of 137 MB at target (1, 1),
+# and about 0.82 s and 100 MB at (2, 3), as README gives: about 7 times its
+# time at m = n = 64.
 DIMENSION_LIMIT = 128
 
 
@@ -188,7 +189,7 @@ def _feasible(mm: MomentMatrix, path: str) -> MomentMatrix:
 def load_instance(path: str) -> Union[JointPMF, EventSystem, MomentMatrix]:
     """pmf JSON, moment JSON, or event CSV, decided by extension/keys; the
     file is read and parsed once."""
-    if path.endswith(".csv"):
+    if path.lower().endswith(".csv"):
         return load_events_csv(path)
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
@@ -234,9 +235,19 @@ def fmt(q: Fraction) -> str:
 
 
 def grid_json(key: str, grid) -> str:
-    """A held grid as JSON: m, n and its cells under `key`."""
-    cells = [[cell_text(x, grid.den) for x in row] for row in grid.nums]
-    return json.dumps({"m": grid.m, "n": grid.n, key: cells}, indent=2)
+    """A held grid as JSON: m, n and its cells under `key`, byte for byte
+    what json.dumps({"m": m, "n": n, key: cells}, indent=2) writes.
+
+    The text is joined here because json.dumps runs its pure-Python encoder
+    whenever `indent` is set, and that took about a third of the time a
+    625-cell grid takes to write.  Nothing needs escaping: `cell_text` yields only digits,
+    "-" and "/", and `key` is one of the literals "s", "p" and "q"."""
+    den = grid.den
+    rows = '"\n    ],\n    [\n      "'.join(
+        '",\n      "'.join([cell_text(x, den) for x in row])
+        for row in grid.nums)
+    return (f'{{\n  "m": {grid.m},\n  "n": {grid.n},\n  "{key}": [\n'
+            f'    [\n      "{rows}"\n    ]\n  ]\n}}')
 
 
 def print_matrix(title: str, grid, out) -> None:

@@ -90,6 +90,31 @@ class TestMoments:
         assert status == 0
         assert again == out  # byte-identical canonical formatting
 
+    @pytest.mark.parametrize("name", ["EV.CSV", "ev.Csv"])
+    def test_csv_suffix_in_any_case(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes((GOLDEN / "events3x2.csv").read_bytes())
+        status, out, err = run(["moments", "--in", str(path)], capsys)
+        assert (status, err) == (0, "")
+        assert out == (GOLDEN / "moments_events3x2.txt").read_text()
+
+
+def test_grid_json_is_what_json_dumps_writes():
+    # zero, negative, integer and fractional cells, over den 1 and den 6
+    values = [0, -3, 12, 5, -7, 1, 6, -12]
+    for m in range(4):
+        for n in range(4):
+            nums = [[values[(u * (n + 1) + v) % len(values)]
+                     for v in range(n + 1)] for u in range(m + 1)]
+            for den in (1, 6):
+                grid = model.RationalGrid.from_ints(m, n, nums, den)
+                cells = [[str(Fraction(x, den)) for x in row] for row in nums]
+                for key in "spq":
+                    text = cli.grid_json(key, grid)
+                    assert text == json.dumps(
+                        {"m": m, "n": n, key: cells}, indent=2)
+                    assert json.loads(text) == {"m": m, "n": n, key: cells}
+
 
 class TestInvert:
     def test_tails(self, e2_file, tmp_path, capsys):
